@@ -5,23 +5,19 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Static analysis gate (see internal/analysis/{detlint,perflint,scalelint}):
-# builds the combined vettool — determinism suite, performance/concurrency
-# suite (hotalloc, lockorder, wirecover) and scalability suite (rankscale,
-# chanlive, wiredrift) — and runs it over every package.
+# Static analysis gate (see internal/analysis/detlint): builds the vettool
+# and runs its eight analyzers over every package.
 lint:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	$(GO) vet -vettool=bin/detlint ./...
 
 # Same suite in machine-readable form (-json per-package findings), plus
-# the committed-artifact gates (hotalloc escape budget incl. the compiler's
-# -gcflags=-m view, rankscale site budget, wire schema) and the in-process
-# per-analyzer stats report. See DESIGN.md §11–§12.
+# the committed-artifact gates of cmd/perflint (escape budget, wire
+# schema). See DESIGN.md §6 and §11.
 analyze:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	$(GO) vet -vettool=bin/detlint -json ./...
 	$(GO) run ./cmd/perflint
-	$(GO) run ./cmd/perflint -stats
 
 test:
 	$(GO) test ./...

@@ -21,9 +21,6 @@
 //	                 (default 0.10 — allocation counts are deterministic,
 //	                 so the margin only covers map-growth jitter)
 //	-write           write BENCH_<date>.json with this run's results
-//	-hotbudget path  hotalloc escape budget (relative to -dir) whose
-//	                 bench_allocs snapshot is cross-checked (default
-//	                 internal/analysis/perflint/hotalloc_budget.json)
 //
 // Suspected regressions are re-run once (suspects only) and the faster of
 // the two measurements kept, so a transient load spike on the host must
@@ -46,14 +43,6 @@
 // faster than the serial one, so the contention regression that once made
 // -j 8 slower than -j 1 can never silently return. This gate needs no
 // baseline; it is an absolute property of the current run.
-//
-// Finally, when the hotalloc escape budget
-// (internal/analysis/perflint/hotalloc_budget.json) carries a bench_allocs
-// snapshot, the gate cross-checks this run's allocs/op against it: a
-// divergence beyond ±25% means the static escape budget was regenerated
-// against allocation behavior that no longer exists, and the gate fails
-// with a pointer at `go run ./cmd/perflint -write`. A missing budget file
-// skips the cross-check silently (the budget is owned by cmd/perflint).
 package main
 
 import (
@@ -292,8 +281,6 @@ func run() error {
 	threshold := flag.Float64("threshold", 0.15, "fractional ns/op regression that fails the gate")
 	athreshold := flag.Float64("athreshold", 0.10, "fractional allocs/op regression that fails the gate")
 	write := flag.Bool("write", false, "write BENCH_<date>.json with this run's results")
-	hotBudget := flag.String("hotbudget", filepath.Join("internal", "analysis", "perflint", "hotalloc_budget.json"),
-		"hotalloc escape budget (relative to -dir) whose bench_allocs snapshot is cross-checked; missing file skips the check")
 	flag.Parse()
 
 	runBench := func(re string) ([]byte, error) {
@@ -414,17 +401,8 @@ func run() error {
 		gateFailed = true
 	}
 
-	// Cross-check the hotalloc escape budget's allocs/op snapshot: the
-	// static and the measured view of allocation behavior must not drift
-	// apart unnoticed.
-	if drifts := budgetDrift(filepath.Join(*dir, *hotBudget), current); len(drifts) > 0 {
-		for _, d := range drifts {
-			fmt.Printf("  BUDGET-DRIFT %s\n", d)
-		}
-		gateFailed = true
-	}
 	if gateFailed && !*write {
-		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%, lost parallel speedup, or escape-budget drift)",
+		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%, or lost parallel speedup)",
 			*threshold*100, *athreshold*100)
 	}
 
@@ -446,52 +424,6 @@ func run() error {
 		fmt.Printf("benchgate: wrote %s\n", path)
 	}
 	return nil
-}
-
-// budgetAllocsTolerance is the fractional allocs/op divergence from the
-// escape budget's bench_allocs snapshot that fails the gate, in either
-// direction: allocations that shot up past the snapshot mean a regression
-// the static budget never sanctioned, and allocations that collapsed mean
-// the budget documents escape counts for code that no longer allocates
-// that way. Wider than -athreshold because the snapshot is only refreshed
-// on `perflint -write`, not on every baseline.
-const budgetAllocsTolerance = 0.25
-
-// budgetDrift compares this run's allocs/op against the escape budget's
-// bench_allocs snapshot and describes each benchmark that diverged past
-// the tolerance. A missing budget file (or one without a snapshot) is not
-// an error: the budget belongs to cmd/perflint, and repositories mid-
-// migration simply skip the cross-check.
-func budgetDrift(path string, current map[string]Measure) []string {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var budget struct {
-		BenchAllocs map[string]float64 `json:"bench_allocs"`
-	}
-	if err := json.Unmarshal(data, &budget); err != nil {
-		return []string{fmt.Sprintf("%s: unreadable escape budget: %v", path, err)}
-	}
-	var drifts []string
-	names := make([]string, 0, len(budget.BenchAllocs))
-	for name := range budget.BenchAllocs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap := budget.BenchAllocs[name]
-		cur, ok := current[name]
-		if !ok || cur.AllocsPerOp == 0 || snap == 0 {
-			continue
-		}
-		if ratio := cur.AllocsPerOp / snap; ratio > 1+budgetAllocsTolerance || ratio < 1-budgetAllocsTolerance {
-			drifts = append(drifts, fmt.Sprintf(
-				"%s allocs/op %s vs escape-budget snapshot %s (%+.1f%%): the hotalloc budget no longer matches measured allocation behavior — revisit the hot functions and regenerate with `go run ./cmd/perflint -write`",
-				name, fmtMetric("allocs/op", cur.AllocsPerOp), fmtMetric("allocs/op", snap), (ratio-1)*100))
-		}
-	}
-	return drifts
 }
 
 func main() {

@@ -1,31 +1,19 @@
-// Detlint is the static analysis gate for this repository, packaged as a
-// go vet tool: the determinism suite (package detlint), the
-// performance-and-concurrency suite (package perflint) and the
-// scalability suite (package scalelint) in one binary. Build it once,
-// then point go vet at it:
+// Detlint is the repository's static-analysis suite (package detlint)
+// packaged as a go vet tool. Build it once, then point go vet at it:
 //
 //	go build -o bin/detlint ./cmd/detlint
 //	go vet -vettool=bin/detlint ./...
 //
-// or simply `make lint` (human output) / `make analyze` (-json output
-// plus the budget/schema gates and per-analyzer stats). See packages
-// detlint, perflint and scalelint for the analyzers and the
-// //detlint:allow suppression protocol they share.
+// or simply `make lint` (human output) / `make analyze` (-json output plus
+// the cmd/perflint artifact gates). See package detlint for the analyzers
+// and the //detlint:allow suppression protocol.
 package main
 
 import (
-	"columbia/internal/analysis"
 	"columbia/internal/analysis/detlint"
-	"columbia/internal/analysis/perflint"
-	"columbia/internal/analysis/scalelint"
 	"columbia/internal/analysis/unitchecker"
 )
 
 func main() {
-	suite := make([]*analysis.Analyzer, 0, len(detlint.Suite)+len(perflint.Suite)+len(scalelint.Suite))
-	suite = append(suite, detlint.Suite...)
-	suite = append(suite, perflint.Suite...)
-	suite = append(suite, scalelint.Suite...)
-	known := append(append(detlint.Names(), perflint.Names()...), scalelint.Names()...)
-	unitchecker.Main("detlint", suite, known)
+	unitchecker.Main("detlint", detlint.Suite, detlint.Names())
 }

@@ -1,47 +1,40 @@
-// Perflint maintains and enforces the committed analysis artifacts — the
-// JSON files the analyzer suites embed and gate on — from a single
-// type-checked view of the repository:
+// Perflint owns the repository's two committed analysis artifacts — the
+// files that pin what no single-package analyzer can see:
 //
-//   - the hotalloc escape budget
-//     (internal/analysis/perflint/hotalloc_budget.json): per //perflint:hot
-//     function, the static escape-site count recomputed here exactly as
-//     `make lint` counts it, cross-checked against the gc escape
-//     diagnostics (-gcflags=-m) attributed to the function's line range;
-//   - the rankscale site budget
-//     (internal/analysis/scalelint/rankscale_budget.json): per engine
-//     function, the accepted number of O(ranks) allocation and goroutine
-//     sites, recomputed from the same CFG walk the rankscale analyzer uses;
-//   - the wire schema (internal/analysis/scalelint/wire_schema.json): the
-//     gob shape of every //perflint:wire struct, stamped with the
-//     dist.ProtocolVersion it was snapshotted at.
+//   - the escape budget (cmd/perflint/hotalloc_budget.json): per
+//     //perflint:hot function, the number of heap escapes the compiler's
+//     own escape analysis (-gcflags=-m) attributes to its line range;
+//   - the wire schema (cmd/perflint/wire_schema.json): the gob shape of
+//     every //perflint:wire struct, stamped with the dist.ProtocolVersion
+//     it was snapshotted at.
 //
-// With no flags it is a gate: any drift between the committed artifacts
-// and the current source — a new escape or rank-scaled site, an
-// improvement the budget has not banked, a wire struct whose shape moved —
-// fails with exit 1. The compiler escape diff is skipped (with a notice)
-// when the budget was written by a different toolchain.
+// With no flags it is a gate, and any drift between the artifacts and the
+// current source fails with exit 1:
 //
-//	go run ./cmd/perflint          # gate: diff current counts vs artifacts
-//	go run ./cmd/perflint -write   # regenerate all three (then rebuild
-//	                               # bin/detlint: the analyzers embed them)
-//	go run ./cmd/perflint -stats   # run the full analyzer suite in-process
-//	                               # and print per-analyzer wall time and
-//	                               # diagnostic counts
+//   - a hot function whose escape count moved in either direction (a new
+//     escape, or a win the budget has not banked), a hot function missing
+//     from the budget, or a budget entry whose function is gone or no
+//     longer annotated. Escape counts are only comparable under the
+//     toolchain that wrote the budget; under any other, only the
+//     unbudgeted and stale checks run.
+//   - a wire struct whose shape changed without a dist.ProtocolVersion
+//     bump, a bump the schema has not been regenerated for, a wire struct
+//     missing from the schema, or a schema entry whose struct is gone.
+//
+// Usage, from the repository root:
+//
+//	go run ./cmd/perflint          # gate
+//	go run ./cmd/perflint -write   # regenerate both artifacts
 //
 // -write refuses to re-snapshot a drifted wire schema while
 // dist.ProtocolVersion still equals the committed snapshot's version:
 // changing a wire shape is a protocol change, and the bump is the reviewed
-// evidence that both sides of the wire will be rebuilt. It also snapshots
-// allocs/op from the latest BENCH_<date>.json into the escape budget's
-// bench_allocs, which cmd/benchgate cross-checks so the static budget and
-// the measured allocation rate cannot silently diverge.
+// evidence that both sides of the wire will be rebuilt.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -53,26 +46,19 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
-
-	"columbia/internal/analysis"
-	"columbia/internal/analysis/checker"
-	"columbia/internal/analysis/detlint"
-	"columbia/internal/analysis/perflint"
-	"columbia/internal/analysis/scalelint"
 )
 
-// modulePath is the repository's module; only its packages are analyzed.
+// modulePath is the repository's module; only its packages are scanned.
 const modulePath = "columbia"
 
-// distPath is the package whose ProtocolVersion constant stamps the wire
-// schema.
-const distPath = "columbia/internal/dist"
+// The committed artifacts, relative to the repository root.
+const (
+	budgetPath = "cmd/perflint/hotalloc_budget.json"
+	schemaPath = "cmd/perflint/wire_schema.json"
+)
 
 // listedPackage is the subset of `go list -json` perflint consumes.
 type listedPackage struct {
@@ -82,26 +68,13 @@ type listedPackage struct {
 	Export     string
 }
 
-// repoPkg is one repository package parsed and type-checked from source,
-// the unit every gate and the stats runner consume.
+// repoPkg is one repository package parsed and type-checked from source.
 type repoPkg struct {
 	listedPackage
 	fset  *token.FileSet
 	files []*ast.File
 	info  *types.Info
 	pkg   *types.Package
-}
-
-// hotCount is one hot function's measured escape counts plus the source
-// range the compiler diagnostics are attributed over.
-type hotCount struct {
-	key      string
-	static   int
-	compiler int
-	file     string // absolute path
-	from, to int    // declaration line range, inclusive
-	pkg      string // import path, for reporting
-	shortPos string // file:line of the declaration, repo-relative
 }
 
 func main() {
@@ -113,123 +86,83 @@ func main() {
 
 func run() error {
 	write := flag.Bool("write", false, "regenerate the artifact files instead of gating on them")
-	stats := flag.Bool("stats", false, "run the full detlint+perflint+scalelint suite in-process and print per-analyzer wall time and diagnostic counts")
-	budgetPath := flag.String("budget", filepath.Join("internal", "analysis", "perflint", "hotalloc_budget.json"),
-		"path of the committed escape budget")
-	rankPath := flag.String("rankbudget", filepath.Join("internal", "analysis", "scalelint", "rankscale_budget.json"),
-		"path of the committed rank-scaled site budget")
-	schemaPath := flag.String("wireschema", filepath.Join("internal", "analysis", "scalelint", "wire_schema.json"),
-		"path of the committed wire schema")
-	benchDir := flag.String("benchdir", ".", "directory holding BENCH_*.json baselines (for bench_allocs)")
 	flag.Parse()
-	if *write && *stats {
-		return errors.New("-write and -stats are mutually exclusive")
-	}
 
-	listed, exports, err := listRepoPackages()
+	pkgs, err := loadRepo()
 	if err != nil {
 		return err
 	}
-	pkgs, err := typecheckAll(listed, exports)
-	if err != nil {
-		return err
-	}
-
-	if *stats {
-		return runStats(pkgs)
-	}
-
-	counts := staticCounts(pkgs)
-	goVersion := runtime.Version()
+	counts := hotFuncs(pkgs)
 	if err := compilerCounts(counts); err != nil {
 		return err
 	}
-	ranks := rankCounts(pkgs)
 	shapes := wireShapes(pkgs)
 	pv, hasPV := distProtocolVersion(pkgs)
+	goVersion := runtime.Version()
 
 	if *write {
-		if err := writeBudget(*budgetPath, *benchDir, goVersion, counts); err != nil {
+		if err := writeBudget(budgetPath, goVersion, counts); err != nil {
 			return err
 		}
-		if err := writeRankBudget(*rankPath, ranks); err != nil {
-			return err
-		}
-		return writeWireSchema(*schemaPath, shapes, pv, hasPV)
+		return writeWireSchema(schemaPath, shapes, pv, hasPV)
 	}
 
-	var failures []string
-	hotFailures, err := gateHot(*budgetPath, goVersion, counts)
+	budget, err := readArtifact(budgetPath, parseBudget)
 	if err != nil {
 		return err
 	}
-	failures = append(failures, hotFailures...)
-	rankFailures, err := gateRank(*rankPath, ranks)
+	schema, err := readArtifact(schemaPath, parseWireSchema)
 	if err != nil {
 		return err
 	}
-	failures = append(failures, rankFailures...)
-	wireFailures, err := gateWire(*schemaPath, shapes, pv, hasPV)
-	if err != nil {
-		return err
+	if budget.Go != goVersion {
+		fmt.Printf("perflint: budget written by %s, running %s — escape counts not compared, only unbudgeted and stale functions (regenerate with -write to re-arm the comparison)\n",
+			budget.Go, goVersion)
 	}
-	failures = append(failures, wireFailures...)
-
+	failures := append(gateHot(budget, goVersion, counts), gateWire(schema, shapes, pv, hasPV)...)
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Printf("  %s\n", f)
 		}
 		return fmt.Errorf("artifact gates failed: %d finding(s)", len(failures))
 	}
-	var rankSites int
-	for _, n := range ranks {
-		rankSites += n
-	}
-	fmt.Printf("perflint: %d hot functions within budget, %d rank-scaled sites budgeted, %d wire structs frozen at protocol %d\n",
-		len(counts), rankSites, len(shapes), pv)
+	fmt.Printf("perflint: %d hot functions within budget, %d wire structs frozen at protocol %d\n",
+		len(counts), len(shapes), pv)
 	return nil
 }
 
-// listRepoPackages resolves every package in the module plus the export
-// data of everything they import, via the go command.
-func listRepoPackages() ([]listedPackage, map[string]string, error) {
+// loadRepo resolves every package in the module via the go command, then
+// parses and type-checks each from source, importing dependencies through
+// their gc export data — the same view the vet driver gives the analyzers.
+func loadRepo() ([]*repoPkg, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export", "./...")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list: %w", err)
+		return nil, fmt.Errorf("go list: %w", err)
 	}
 	exports := make(map[string]string)
-	var pkgs []listedPackage
+	var listed []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list output: %w", err)
+			return nil, fmt.Errorf("go list output: %w", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		if p.ImportPath == modulePath || strings.HasPrefix(p.ImportPath, modulePath+"/") {
-			pkgs = append(pkgs, p)
+		if len(p.GoFiles) > 0 && (p.ImportPath == modulePath || strings.HasPrefix(p.ImportPath, modulePath+"/")) {
+			listed = append(listed, p)
 		}
 	}
-	if len(pkgs) == 0 {
-		return nil, nil, fmt.Errorf("go list resolved no %s packages; run from the repository root", modulePath)
+	if len(listed) == 0 {
+		return nil, fmt.Errorf("go list resolved no %s packages; run from the repository root", modulePath)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	return pkgs, exports, nil
-}
+	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
 
-// typecheckAll parses and type-checks each repository package from source,
-// importing dependencies through their gc export data — the same view the
-// vet driver gives the analyzers.
-func typecheckAll(listed []listedPackage, exports map[string]string) ([]*repoPkg, error) {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -249,13 +182,7 @@ func typecheckAll(listed []listedPackage, exports map[string]string) ([]*repoPkg
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-		}
+		info := &types.Info{Defs: make(map[*ast.Ident]types.Object)}
 		tconf := &types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 		tpkg, err := tconf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
@@ -266,421 +193,31 @@ func typecheckAll(listed []listedPackage, exports map[string]string) ([]*repoPkg
 	return pkgs, nil
 }
 
-// staticCounts counts the hotalloc analyzer's escape sites per annotated
-// function in the hot packages.
-func staticCounts(pkgs []*repoPkg) map[string]*hotCount {
-	hot := make(map[string]bool, len(perflint.HotPackages))
-	for _, p := range perflint.HotPackages {
-		hot[p] = true
-	}
-	counts := make(map[string]*hotCount)
-	for _, p := range pkgs {
-		if !hot[p.ImportPath] {
-			continue
-		}
-		for _, hf := range perflint.HotFuncs(p.ImportPath, p.fset, p.files) {
-			start := p.fset.Position(hf.Decl.Pos())
-			end := p.fset.Position(hf.Decl.End())
-			counts[hf.Key] = &hotCount{
-				key:      hf.Key,
-				static:   len(perflint.EscapeSites(p.info, hf.Decl)),
-				file:     start.Filename,
-				from:     start.Line,
-				to:       end.Line,
-				pkg:      p.ImportPath,
-				shortPos: fmt.Sprintf("%s:%d", relPath(start.Filename), start.Line),
-			}
-		}
-	}
-	return counts
-}
-
-// rankCounts counts the rankscale analyzer's O(ranks) sites per function
-// key across the engine packages — the numbers the committed budget fixes.
-func rankCounts(pkgs []*repoPkg) map[string]int {
-	counts := make(map[string]int)
-	for _, p := range pkgs {
-		if !scalelint.RankScoped(p.ImportPath) {
-			continue
-		}
-		for _, s := range scalelint.RankSites(p.ImportPath, p.fset, p.files, p.info) {
-			counts[s.Key]++
-		}
-	}
-	return counts
-}
-
-// wireShapes collects the current gob shape of every //perflint:wire
-// struct in the repository, keyed "<pkgpath>.<Name>".
-func wireShapes(pkgs []*repoPkg) map[string][]scalelint.WireField {
-	shapes := make(map[string][]scalelint.WireField)
-	for _, p := range pkgs {
-		for _, ws := range scalelint.WireShapes(p.ImportPath, p.fset, p.files, p.info) {
-			shapes[ws.Key] = ws.Fields
-		}
-	}
-	return shapes
-}
-
-// distProtocolVersion reads dist.ProtocolVersion from the type-checked
-// dist package.
-func distProtocolVersion(pkgs []*repoPkg) (int, bool) {
-	for _, p := range pkgs {
-		if p.ImportPath == distPath {
-			return scalelint.ProtocolVersionOf(p.pkg)
-		}
-	}
-	return 0, false
-}
-
-// escapeLine matches one gc escape diagnostic, e.g.
-//
-//	internal/sweep/sweep.go:239:7: &slotWaiter{...} escapes to heap
-//	internal/sweep/sweep.go:241:2: moved to heap: w
-var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (?:.* escapes to heap|moved to heap: .*)$`)
-
-// compilerCounts builds each hot package with -gcflags=-m and attributes
-// the heap-escape diagnostics that land inside a hot function's line range.
-// The go build cache replays -m output on cache hits, so repeated gates are
-// cheap.
-func compilerCounts(counts map[string]*hotCount) error {
-	byPkg := make(map[string][]*hotCount)
-	for _, c := range counts {
-		byPkg[c.pkg] = append(byPkg[c.pkg], c)
-	}
-	for _, pkg := range sortedKeys(byPkg) {
-		cmd := exec.Command("go", "build", "-gcflags="+pkg+"=-m", pkg)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			os.Stderr.Write(stderr.Bytes())
-			return fmt.Errorf("go build -gcflags=-m %s: %w", pkg, err)
-		}
-		sc := bufio.NewScanner(&stderr)
-		for sc.Scan() {
-			m := escapeLine.FindStringSubmatch(sc.Text())
-			if m == nil {
-				continue
-			}
-			file, err := filepath.Abs(m[1])
-			if err != nil {
-				continue
-			}
-			line, _ := strconv.Atoi(m[2])
-			for _, c := range byPkg[pkg] {
-				if c.file == file && c.from <= line && line <= c.to {
-					c.compiler++
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gateHot diffs the measured escape counts against the committed budget.
-func gateHot(budgetPath, goVersion string, counts map[string]*hotCount) ([]string, error) {
-	data, err := os.ReadFile(budgetPath)
+// readArtifact reads and parses one committed artifact, pointing at -write
+// when the file is missing.
+func readArtifact[T any](path string, parse func([]byte) (*T, error)) (*T, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w (run `go run ./cmd/perflint -write` to create it)", err)
 	}
-	budget, err := perflint.ParseBudget(data)
-	if err != nil {
-		return nil, err
-	}
-	compilerComparable := budget.Go == goVersion
-	if !compilerComparable {
-		fmt.Printf("perflint: budget written by %s, running %s — compiler escape diff skipped (regenerate with -write to re-arm it)\n",
-			budget.Go, goVersion)
-	}
-
-	var failures []string
-	for _, key := range sortedKeys(counts) {
-		c := counts[key]
-		b, ok := budget.Functions[key]
-		if !ok {
-			failures = append(failures, fmt.Sprintf(
-				"ESCAPE %s (%s): hot function not budgeted — run `go run ./cmd/perflint -write` and commit the budget",
-				key, c.shortPos))
-			continue
-		}
-		if c.static > b.Static {
-			failures = append(failures, fmt.Sprintf(
-				"ESCAPE %s (%s): %d static escape site(s), budget %d — a new allocation escapes this hot function; make it stack-local or justify and regenerate",
-				key, c.shortPos, c.static, b.Static))
-		} else if c.static < b.Static {
-			failures = append(failures, fmt.Sprintf(
-				"ESCAPE %s (%s): %d static escape site(s), budget %d — an escape was eliminated; bank the win with `go run ./cmd/perflint -write` so it cannot silently regress",
-				key, c.shortPos, c.static, b.Static))
-		}
-		if compilerComparable && c.compiler != b.Compiler {
-			direction := "new compiler-reported heap escape(s)"
-			if c.compiler < b.Compiler {
-				direction = "fewer compiler-reported heap escapes than budgeted; bank the win"
-			}
-			failures = append(failures, fmt.Sprintf(
-				"ESCAPE %s (%s): compiler reports %d heap escape(s), budget %d — %s (`go run ./cmd/perflint -write`)",
-				key, c.shortPos, c.compiler, b.Compiler, direction))
-		}
-	}
-	for _, key := range sortedKeys(budget.Functions) {
-		if _, ok := counts[key]; !ok {
-			failures = append(failures, fmt.Sprintf(
-				"ESCAPE %s: stale budget entry — the function is gone or no longer //perflint:hot; regenerate with `go run ./cmd/perflint -write`",
-				key))
-		}
-	}
-	return failures, nil
+	return parse(data)
 }
 
-// gateRank diffs the measured rank-scaled site counts against the
-// committed budget. The rankscale analyzer fails a build only when a
-// function exceeds its budget; this gate also catches the other drifts —
-// an unbanked improvement and a stale entry — exactly as the escape gate
-// does for hotalloc.
-func gateRank(rankPath string, ranks map[string]int) ([]string, error) {
-	data, err := os.ReadFile(rankPath)
-	if err != nil {
-		return nil, fmt.Errorf("%w (run `go run ./cmd/perflint -write` to create it)", err)
-	}
-	budget, err := scalelint.ParseRankBudget(data)
-	if err != nil {
-		return nil, err
-	}
-	var failures []string
-	for _, key := range sortedKeys(ranks) {
-		n, b := ranks[key], budget.Functions[key]
-		if n > b {
-			failures = append(failures, fmt.Sprintf(
-				"RANK %s: %d rank-scaled site(s), budget %d — a new O(ranks) allocation or spawn site appeared; pool it behind //perflint:pooled or regenerate and review the budget (`go run ./cmd/perflint -write`)",
-				key, n, b))
-		} else if n < b {
-			failures = append(failures, fmt.Sprintf(
-				"RANK %s: %d rank-scaled site(s), budget %d — a site was pooled or removed; bank the win with `go run ./cmd/perflint -write` so it cannot silently regress",
-				key, n, b))
-		}
-	}
-	for _, key := range sortedKeys(budget.Functions) {
-		if _, ok := ranks[key]; !ok {
-			failures = append(failures, fmt.Sprintf(
-				"RANK %s: stale budget entry — the function is gone, fully pooled, or no longer rank-scaled; regenerate with `go run ./cmd/perflint -write`",
-				key))
-		}
-	}
-	return failures, nil
+// decodeStrict decodes one JSON document, rejecting unknown fields so a
+// typo in a hand-edited artifact fails loudly instead of gating nothing.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
-// gateWire diffs the current wire shapes against the committed schema and
-// the dist.ProtocolVersion it was stamped with.
-func gateWire(schemaPath string, shapes map[string][]scalelint.WireField, pv int, hasPV bool) ([]string, error) {
-	data, err := os.ReadFile(schemaPath)
-	if err != nil {
-		return nil, fmt.Errorf("%w (run `go run ./cmd/perflint -write` to create it)", err)
-	}
-	schema, err := scalelint.ParseWireSchema(data)
-	if err != nil {
-		return nil, err
-	}
-	var failures []string
-	if !hasPV {
-		failures = append(failures,
-			"WIRE dist.ProtocolVersion constant not found — the schema snapshot cannot be validated against a protocol version")
-	} else if pv != schema.ProtocolVersion {
-		failures = append(failures, fmt.Sprintf(
-			"WIRE schema snapshotted at protocol %d but dist declares %d — regenerate with `go run ./cmd/perflint -write`",
-			schema.ProtocolVersion, pv))
-	}
-	for _, key := range sortedKeys(shapes) {
-		want, ok := schema.Structs[key]
-		if !ok {
-			failures = append(failures, fmt.Sprintf(
-				"WIRE %s: wire struct not in the committed schema — snapshot it with `go run ./cmd/perflint -write`", key))
-			continue
-		}
-		if diff := scalelint.ShapeDiff(want, shapes[key]); diff != "" {
-			failures = append(failures, fmt.Sprintf(
-				"WIRE %s: gob shape drifted from the committed schema (%s) — bump dist.ProtocolVersion and regenerate", key, diff))
-		}
-	}
-	for _, key := range sortedKeys(schema.Structs) {
-		if _, ok := shapes[key]; !ok {
-			failures = append(failures, fmt.Sprintf(
-				"WIRE %s: stale schema entry — the struct is gone or lost its //perflint:wire marker; bump dist.ProtocolVersion and regenerate", key))
-		}
-	}
-	return failures, nil
-}
-
-// writeBudget regenerates the committed escape budget from the measured
-// counts and the latest benchmark baseline's allocs/op.
-func writeBudget(budgetPath, benchDir, goVersion string, counts map[string]*hotCount) error {
-	b := perflint.Budget{Go: goVersion, Functions: make(map[string]perflint.FuncBudget, len(counts))}
-	for key, c := range counts {
-		b.Functions[key] = perflint.FuncBudget{Static: c.static, Compiler: c.compiler}
-	}
-	allocs, base, err := benchAllocs(benchDir)
+// writeArtifact writes v as indented JSON with a trailing newline.
+func writeArtifact(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "\t")
 	if err != nil {
 		return err
 	}
-	b.BenchAllocs = allocs
-	data, err := json.MarshalIndent(&b, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(budgetPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perflint: wrote %s (%d hot functions", budgetPath, len(counts))
-	if base != "" {
-		fmt.Printf(", allocs/op snapshot from %s", filepath.Base(base))
-	}
-	fmt.Printf(") — rebuild bin/detlint to embed it\n")
-	return nil
-}
-
-// writeRankBudget regenerates the committed rank-scaled site budget.
-func writeRankBudget(rankPath string, ranks map[string]int) error {
-	b := scalelint.RankBudget{Functions: make(map[string]int, len(ranks))}
-	for key, n := range ranks {
-		if n > 0 {
-			b.Functions[key] = n
-		}
-	}
-	data, err := json.MarshalIndent(&b, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(rankPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perflint: wrote %s (%d rank-budgeted functions) — rebuild bin/detlint to embed it\n",
-		rankPath, len(b.Functions))
-	return nil
-}
-
-// writeWireSchema re-snapshots the wire schema — unless the shapes drifted
-// while dist.ProtocolVersion still equals the committed snapshot's
-// version. A shape change is a protocol change, and the bump is the
-// reviewed evidence that every process on the wire will be rebuilt; a tool
-// that regenerated past that check would erase exactly the drift the
-// wiredrift analyzer exists to refuse. New structs snapshot freely: adding
-// a message type is backward compatible at the gob layer.
-func writeWireSchema(schemaPath string, shapes map[string][]scalelint.WireField, pv int, hasPV bool) error {
-	if !hasPV {
-		return errors.New("wire schema: dist.ProtocolVersion constant not found; cannot stamp the snapshot")
-	}
-	committed := &scalelint.WireSchema{Structs: map[string][]scalelint.WireField{}}
-	if data, err := os.ReadFile(schemaPath); err == nil {
-		if s, perr := scalelint.ParseWireSchema(data); perr == nil {
-			committed = s
-		}
-	}
-	if pv == committed.ProtocolVersion {
-		var changes []string
-		for _, key := range sortedKeys(committed.Structs) {
-			cur, ok := shapes[key]
-			if !ok {
-				changes = append(changes, key+" was removed")
-				continue
-			}
-			if diff := scalelint.ShapeDiff(committed.Structs[key], cur); diff != "" {
-				changes = append(changes, key+": "+diff)
-			}
-		}
-		if len(changes) > 0 {
-			return fmt.Errorf(
-				"refusing to re-snapshot a drifted wire schema at unchanged protocol version %d (%s) — bump dist.ProtocolVersion first, then -write",
-				pv, strings.Join(changes, "; "))
-		}
-	}
-	s := scalelint.WireSchema{ProtocolVersion: pv, Structs: shapes}
-	data, err := json.MarshalIndent(&s, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(schemaPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perflint: wrote %s (%d wire structs at protocol %d) — rebuild bin/detlint to embed it\n",
-		schemaPath, len(shapes), pv)
-	return nil
-}
-
-// runStats runs every analyzer of the three suites in-process over the
-// repository packages and prints per-analyzer wall time and surviving
-// diagnostic counts. One analyzer runs at a time so the timings are
-// attributable; the allow protocol is applied exactly as `make lint`
-// applies it, and each suppression is judged once — by the run of the
-// analyzer it names. Stale or malformed allows surface on the final
-// driver line.
-func runStats(pkgs []*repoPkg) error {
-	suite := make([]*analysis.Analyzer, 0, len(detlint.Suite)+len(perflint.Suite)+len(scalelint.Suite))
-	suite = append(suite, detlint.Suite...)
-	suite = append(suite, perflint.Suite...)
-	suite = append(suite, scalelint.Suite...)
-	known := append(append(detlint.Names(), perflint.Names()...), scalelint.Names()...)
-
-	fmt.Printf("perflint: analyzer stats over %d packages\n", len(pkgs))
-	start := time.Now()
-	var total, allowDiags int
-	for _, a := range suite {
-		aStart := time.Now()
-		n := 0
-		for _, p := range pkgs {
-			diags, err := checker.Run(&checker.Package{Fset: p.fset, Files: p.files, Pkg: p.pkg, Info: p.info},
-				[]*analysis.Analyzer{a}, known)
-			if err != nil {
-				return err
-			}
-			for _, d := range diags {
-				if d.Analyzer == a.Name {
-					n++
-				} else {
-					allowDiags++
-				}
-			}
-		}
-		total += n
-		fmt.Printf("  %-18s %9.1fms  %d diagnostic(s)\n", a.Name, float64(time.Since(aStart).Microseconds())/1000, n)
-	}
-	fmt.Printf("  %-18s %9.1fms  %d diagnostic(s), %d allow-protocol finding(s)\n",
-		"total", float64(time.Since(start).Microseconds())/1000, total, allowDiags)
-	if total+allowDiags > 0 {
-		fmt.Printf("perflint: diagnostics above are informational here — `go vet -vettool=bin/detlint ./...` is the blocking gate\n")
-	}
-	return nil
-}
-
-// benchAllocs snapshots allocs/op from the lexically latest BENCH_*.json,
-// or returns nil when no baseline exists.
-func benchAllocs(dir string) (map[string]float64, string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) == 0 {
-		return nil, "", err
-	}
-	sort.Strings(matches)
-	base := matches[len(matches)-1]
-	data, err := os.ReadFile(base)
-	if err != nil {
-		return nil, "", err
-	}
-	var baseline struct {
-		Benchmarks map[string]struct {
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", base, err)
-	}
-	allocs := make(map[string]float64, len(baseline.Benchmarks))
-	for name, m := range baseline.Benchmarks {
-		if m.AllocsPerOp > 0 {
-			allocs[name] = m.AllocsPerOp
-		}
-	}
-	return allocs, base, nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func relPath(abs string) string {

@@ -10,8 +10,6 @@ import (
 
 	"columbia/internal/analysis/checker"
 	"columbia/internal/analysis/detlint"
-	"columbia/internal/analysis/perflint"
-	"columbia/internal/analysis/scalelint"
 )
 
 // TestAllowAudit sweeps every //detlint:allow comment in the repository
@@ -23,7 +21,7 @@ import (
 // suppression cannot quietly decay into a comment that silences nothing.
 func TestAllowAudit(t *testing.T) {
 	known := make(map[string]bool)
-	for _, n := range append(append(detlint.Names(), perflint.Names()...), scalelint.Names()...) {
+	for _, n := range detlint.Names() {
 		known[n] = true
 	}
 

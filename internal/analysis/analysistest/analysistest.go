@@ -51,7 +51,7 @@ var sourceImporter = importer.ForCompiler(token.NewFileSet(), "source", nil)
 // carry allow comments for analyzers outside this run.
 func Run(t *testing.T, testdata, pkgpath string, run []*analysis.Analyzer, known []string) {
 	t.Helper()
-	pkg := load(t, filepath.Join(testdata, "src", pkgpath), pkgpath)
+	pkg := Load(t, testdata, pkgpath)
 	diags, err := checker.Run(pkg, run, known)
 	if err != nil {
 		t.Fatalf("checker.Run: %v", err)
@@ -59,9 +59,11 @@ func Run(t *testing.T, testdata, pkgpath string, run []*analysis.Analyzer, known
 	check(t, pkg, diags)
 }
 
-// load parses and type-checks every .go file of one fixture directory.
-func load(t *testing.T, dir, pkgpath string) *checker.Package {
+// Load parses and type-checks every .go file of the fixture package at
+// <testdata>/src/<pkgpath>, for tests that drive the checker themselves.
+func Load(t *testing.T, testdata, pkgpath string) *checker.Package {
 	t.Helper()
+	dir := filepath.Join(testdata, "src", pkgpath)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)

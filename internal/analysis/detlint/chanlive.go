@@ -1,4 +1,4 @@
-package scalelint
+package detlint
 
 import (
 	"go/ast"
@@ -8,20 +8,23 @@ import (
 	"strings"
 
 	"columbia/internal/analysis"
-	"columbia/internal/analysis/flow"
 	"columbia/internal/analysis/ir"
 )
 
-// ChanLive is the path-sensitive upgrade of detlint's stoptoken: where
-// stoptoken asks "does the goroutine reference the stop token anywhere",
-// chanlive asks "is every blocking operation dominated by an observation
-// of it". For each goroutine body started in vmpi or dist it solves a
-// forward must-observed dataflow problem over the CFG — the fact is "the
-// stop token has been observed on every path to here" — and reports any
-// blocking channel send, receive, Wait call, or default-less select with
-// no stop case that executes while the fact is still false. A goroutine
-// that blocks before its first stop-token check is exactly the one that
-// outlives RunError shutdown and leaks across sweep points.
+// ChanLive enforces the shutdown contract of the vmpi engine and the dist
+// supervisor: when a run fails with a RunError (or the supervisor's
+// context is cancelled), the stop token is broadcast and every goroutine
+// must observe it and unwind — otherwise it leaks across sweep points. A
+// goroutine can only outlive that broadcast while it is blocked, so for
+// each goroutine body started in vmpi or dist (function literal or named
+// same-package function) chanlive solves a forward must-observed dataflow
+// problem over the CFG — the fact is "the stop token has been observed on
+// every path to here" — and reports any blocking channel send, receive,
+// range over a channel, Wait call, or default-less select with no stop
+// case that executes while the fact is still false. Observations are
+// references to the package's stopToken type, stopping/stopped flags,
+// receives from stop/done/quit channels (ctx.Done() included), and calls
+// to same-package functions that make one. Test files are exempt.
 var ChanLive = &analysis.Analyzer{
 	Name: "chanlive",
 	Doc:  "every blocking op in vmpi/dist goroutines must be dominated by a stop-token observation",
@@ -33,9 +36,9 @@ func runChanLive(pass *analysis.Pass) error {
 		return nil
 	}
 	tok, _ := pass.Pkg.Scope().Lookup("stopToken").(*types.TypeName)
-	decls := flow.DeclIndex(pass.TypesInfo, pass.Files)
+	decls := declIndex(pass.TypesInfo, pass.Files)
 	obs := &observer{info: pass.TypesInfo, tok: tok}
-	obs.funcs = stopObservingFuncs(pass, decls, obs)
+	obs.stopObservingFuncs(decls)
 
 	seen := make(map[*ast.BlockStmt]bool)
 	type finding struct {
@@ -53,7 +56,7 @@ func runChanLive(pass *analysis.Pass) error {
 		})
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
+		if isTestFile(pass, f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -65,7 +68,7 @@ func runChanLive(pass *analysis.Pass) error {
 				analyze(lit.Body)
 				return true
 			}
-			if fn := flow.Callee(pass.TypesInfo, gs.Call); fn != nil {
+			if fn := callee(pass.TypesInfo, gs.Call); fn != nil {
 				if fd := decls[fn]; fd != nil {
 					analyze(fd.Body)
 				}
@@ -118,7 +121,7 @@ func analyzeGoroutineBody(body *ast.BlockStmt, obs *observer, report func(token.
 		for i, n := range b.Nodes {
 			comm := b.Kind == "select.case" && i == 0
 			if !observed && !comm {
-				for _, op := range blockingOps(n) {
+				for _, op := range obs.blockingOps(n) {
 					report(op.pos, op.what)
 				}
 			}
@@ -188,35 +191,51 @@ type observer struct {
 	funcs map[*types.Func]bool
 }
 
-// nodeObserves reports whether the node (shallowly — nested function
-// literals are their own goroutine roots or closures, not this path)
-// observes the stop token: it references the stopToken type (including
-// panic(stopToken{})), reads a stopping/stopped flag, receives from a
-// stop/done/quit-named channel or a ctx.Done()-style source, or calls a
-// stop-observing function.
+// observes reports whether one node, taken alone, observes the stop
+// token: a reference to the stopToken type (including panic(stopToken{})),
+// a stopping/stopped flag, a receive from or range over a stop/done/quit
+// channel (ctx.Done() included), or a call to a stop-observing function.
+func (o *observer) observes(n ast.Node) bool {
+	switch x := n.(type) {
+	case *ast.Ident:
+		return o.tok != nil && (o.info.Uses[x] == o.tok || o.info.Defs[x] == o.tok) ||
+			x.Name == "stopping" || x.Name == "stopped"
+	case *ast.UnaryExpr:
+		return x.Op == token.ARROW && recvObserves(x.X)
+	case *ast.RangeStmt:
+		return o.rangesOverChan(x) && recvObserves(x.X)
+	case *ast.CallExpr:
+		fn := callee(o.info, x)
+		return fn != nil && o.funcs[fn]
+	}
+	return false
+}
+
+// nodeObserves reports whether a block node observes the stop token,
+// shallowly: nested function literals are their own goroutine roots or
+// closures, not this path.
 func (o *observer) nodeObserves(n ast.Node) bool {
+	return anyNode(n, ir.Walk, o.observes)
+}
+
+// anyNode reports whether walk visits some node satisfying pred.
+func anyNode(n ast.Node, walk func(ast.Node, func(ast.Node) bool), pred func(ast.Node) bool) bool {
 	found := false
-	ir.Walk(n, func(sub ast.Node) bool {
-		switch x := sub.(type) {
-		case *ast.Ident:
-			if o.tok != nil && (o.info.Uses[x] == o.tok || o.info.Defs[x] == o.tok) {
-				found = true
-			}
-			if x.Name == "stopping" || x.Name == "stopped" {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && recvObserves(x.X) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if fn := flow.Callee(o.info, x); fn != nil && o.funcs[fn] {
-				found = true
-			}
-		}
+	walk(n, func(sub ast.Node) bool {
+		found = found || pred(sub)
 		return !found
 	})
 	return found
+}
+
+// rangesOverChan reports whether the range statement iterates a channel.
+func (o *observer) rangesOverChan(rs *ast.RangeStmt) bool {
+	t := o.info.TypeOf(rs.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
 }
 
 // recvObserves reports whether receiving from the expression observes the
@@ -248,10 +267,11 @@ type blockingOp struct {
 }
 
 // blockingOps lists the node's potentially-blocking operations: channel
-// sends, receives that are not themselves stop observations, and
-// zero-argument Wait calls. Defer statements contribute nothing here —
-// their calls replay in the exit block, where they are scanned.
-func blockingOps(n ast.Node) []blockingOp {
+// sends, receives and ranges over channels that are not themselves stop
+// observations, and zero-argument Wait calls. Defer statements contribute
+// nothing here — their calls replay in the exit block, where they are
+// scanned.
+func (o *observer) blockingOps(n ast.Node) []blockingOp {
 	if _, ok := n.(*ast.DeferStmt); ok {
 		return nil
 	}
@@ -263,6 +283,10 @@ func blockingOps(n ast.Node) []blockingOp {
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW && !recvObserves(x.X) {
 				ops = append(ops, blockingOp{x.OpPos, "blocking channel receive"})
+			}
+		case *ast.RangeStmt:
+			if o.rangesOverChan(x) && !recvObserves(x.X) {
+				ops = append(ops, blockingOp{x.For, "range over a channel (a blocking receive per iteration)"})
 			}
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok &&
@@ -276,55 +300,18 @@ func blockingOps(n ast.Node) []blockingOp {
 }
 
 // stopObservingFuncs computes, by fixed point, the package functions whose
-// bodies observe the stop token directly or call another observing
-// function — the interprocedural half of the observation predicate.
-func stopObservingFuncs(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, obs *observer) map[*types.Func]bool {
-	observing := make(map[*types.Func]bool)
-	direct := func(body *ast.BlockStmt) bool {
-		found := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if obs.tok != nil && (pass.TypesInfo.Uses[x] == obs.tok || pass.TypesInfo.Defs[x] == obs.tok) {
-					found = true
-				}
-				if x.Name == "stopping" || x.Name == "stopped" {
-					found = true
-				}
-			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && recvObserves(x.X) {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	for fn, fd := range decls {
-		if fd.Body != nil && direct(fd.Body) {
-			observing[fn] = true
-		}
-	}
+// bodies (nested literals included) observe the stop token directly or
+// call another observing function — the interprocedural half of the
+// observation predicate.
+func (o *observer) stopObservingFuncs(decls map[*types.Func]*ast.FuncDecl) {
+	o.funcs = make(map[*types.Func]bool)
 	for changed := true; changed; {
 		changed = false
 		for fn, fd := range decls {
-			if observing[fn] || fd.Body == nil {
-				continue
-			}
-			calls := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := flow.Callee(pass.TypesInfo, call); callee != nil && observing[callee] {
-						calls = true
-					}
-				}
-				return !calls
-			})
-			if calls {
-				observing[fn] = true
+			if !o.funcs[fn] && fd.Body != nil && anyNode(fd.Body, ast.Inspect, o.observes) {
+				o.funcs[fn] = true
 				changed = true
 			}
 		}
 	}
-	return observing
 }

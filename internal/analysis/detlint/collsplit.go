@@ -5,7 +5,6 @@ import (
 	"go/types"
 
 	"columbia/internal/analysis"
-	"columbia/internal/analysis/flow"
 	"columbia/internal/analysis/ir"
 )
 
@@ -83,15 +82,15 @@ func forEachTopLevelBody(pass *analysis.Pass, check func(*ast.BlockStmt)) {
 // checkCollsplitCFG builds the body's control-flow graph and reports every
 // collective call in a block guarded by a rank-dependent branch head.
 func checkCollsplitCFG(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Seed the shared taint engine with direct Rank() reads over the whole
+	// Seed the taint engine with direct Rank() reads over the whole
 	// top-level body (nested literals included), exactly as the lexical
 	// walker does, so the two formulations agree on rank-dependence.
 	seed := func(e ast.Expr) bool {
 		call, ok := e.(*ast.CallExpr)
 		return ok && isRankCall(pass, call)
 	}
-	tainted := flow.Taint(pass.TypesInfo, body, seed)
-	dep := func(e ast.Expr) bool { return flow.Depends(pass.TypesInfo, tainted, seed, e) }
+	tainted := taint(pass.TypesInfo, body, seed)
+	dep := func(e ast.Expr) bool { return depends(pass.TypesInfo, tainted, seed, e) }
 
 	var check func(body *ast.BlockStmt, forced bool)
 	check = func(body *ast.BlockStmt, forced bool) {
@@ -175,8 +174,8 @@ func checkCollsplitLexical(pass *analysis.Pass, body *ast.BlockStmt) {
 		call, ok := e.(*ast.CallExpr)
 		return ok && isRankCall(pass, call)
 	}
-	tainted := flow.Taint(pass.TypesInfo, body, seed)
-	dep := func(e ast.Expr) bool { return flow.Depends(pass.TypesInfo, tainted, seed, e) }
+	tainted := taint(pass.TypesInfo, body, seed)
+	dep := func(e ast.Expr) bool { return depends(pass.TypesInfo, tainted, seed, e) }
 	var walk func(n ast.Node, guarded bool)
 	walk = func(n ast.Node, guarded bool) {
 		switch s := n.(type) {
@@ -257,7 +256,7 @@ func children(n ast.Node, fn func(ast.Node)) {
 // zero-argument Barrier method, or a package-level function named like a
 // par collective.
 func collectiveCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := callee(pass.TypesInfo, call)
 	if fn == nil {
 		return "", false
 	}
@@ -275,7 +274,81 @@ func collectiveCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 
 // isRankCall reports whether the call is a zero-argument method named Rank.
 func isRankCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := callee(pass.TypesInfo, call)
 	return fn != nil && fn.Name() == "Rank" && len(call.Args) == 0 &&
 		fn.Type().(*types.Signature).Recv() != nil
+}
+
+// taint computes the body-local objects whose values derive from a seed
+// expression, by fixed-point propagation over assignments and var
+// declarations. A multi-value assignment from a single seed-dependent RHS
+// taints every LHS (the conservative choice: which result carries the
+// property is unknowable without per-function summaries).
+func taint(info *types.Info, body *ast.BlockStmt, seed func(ast.Expr) bool) map[types.Object]bool {
+	tainted := make(map[types.Object]bool)
+	mark := func(lhs ast.Expr) bool {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj := info.Defs[id]
+		if obj == nil {
+			obj = info.Uses[id]
+		}
+		if obj == nil || tainted[obj] {
+			return false
+		}
+		tainted[obj] = true
+		return true
+	}
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				if len(s.Lhs) == len(s.Rhs) {
+					for i := range s.Lhs {
+						if depends(info, tainted, seed, s.Rhs[i]) && mark(s.Lhs[i]) {
+							changed = true
+						}
+					}
+				} else if len(s.Rhs) == 1 && depends(info, tainted, seed, s.Rhs[0]) {
+					for _, l := range s.Lhs {
+						if mark(l) {
+							changed = true
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for i, v := range s.Values {
+					if depends(info, tainted, seed, v) && i < len(s.Names) && mark(s.Names[i]) {
+						changed = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return tainted
+}
+
+// depends reports whether the expression carries the seeded property:
+// some sub-expression satisfies seed, or mentions a tainted identifier.
+func depends(info *types.Info, tainted map[types.Object]bool, seed func(ast.Expr) bool, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if x, ok := n.(ast.Expr); ok && seed != nil && seed(x) {
+			found = true
+			return false
+		}
+		if id, ok := n.(*ast.Ident); ok && tainted[info.Uses[id]] {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
 }

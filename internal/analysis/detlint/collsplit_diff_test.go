@@ -2,18 +2,13 @@ package detlint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"columbia/internal/analysis"
+	"columbia/internal/analysis/analysistest"
 	"columbia/internal/analysis/checker"
 )
 
@@ -24,7 +19,7 @@ import (
 // contain (early returns out of guarded branches, dead code), where the
 // lexical nesting model has no answer at all.
 func TestCollsplitDifferential(t *testing.T) {
-	pkg := loadFixturePkg(t, filepath.Join("testdata", "collsplit", "src", "coll"), "coll")
+	pkg := analysistest.Load(t, filepath.Join("testdata", "collsplit"), "coll")
 	run := func(name string, runFn func(*analysis.Pass) error) []string {
 		t.Helper()
 		a := &analysis.Analyzer{Name: "collsplit", Doc: "differential instance", Run: runFn}
@@ -51,43 +46,4 @@ func TestCollsplitDifferential(t *testing.T) {
 			t.Errorf("diagnostic %d differs:\ncfg:     %s\nlexical: %s", i, cfgDiags[i], lexDiags[i])
 		}
 	}
-}
-
-// loadFixturePkg parses and type-checks one fixture directory, mirroring
-// the analysistest loader (which is unexported).
-func loadFixturePkg(t *testing.T, dir, pkgpath string) *checker.Package {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := &types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
-	tpkg, err := conf.Check(pkgpath, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", pkgpath, err)
-	}
-	return &checker.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info}
 }

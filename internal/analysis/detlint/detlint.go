@@ -1,9 +1,9 @@
-// Package detlint holds the determinism lint suite guarding the paper
-// reproduction's two machine-checked promises: byte-identical experiment
-// tables regardless of -j, and a sweep memo cache whose keys
-// (vmpi.Config.Fingerprint) change whenever any result-relevant input
-// does — plus, since the commsan PR, the communication-correctness
-// invariants of §7 in DESIGN.md. Six analyzers enforce them:
+// Package detlint is the repository's static-analysis suite: eight
+// analyzers guarding the paper reproduction's machine-checked promises —
+// byte-identical experiment tables regardless of -j or -workers, memo-cache
+// keys (vmpi.Config.Fingerprint) that change whenever any result-relevant
+// input does, and the communication and shutdown discipline that keeps a
+// sweep from deadlocking or leaking goroutines:
 //
 //   - fingerprintcover: every field of a struct with a Fingerprint method
 //     (vmpi.Config, fault.Plan) — and of the nested structs it enumerates —
@@ -12,8 +12,6 @@
 //   - nodeterm: simulator packages must not read the wall clock
 //     (time.Now, time.Since), draw from the global math/rand source, or
 //     let map iteration order leak into output.
-//   - stoptoken: every goroutine started in internal/vmpi must be
-//     stop-token aware, so no rank goroutine outlives a RunError shutdown.
 //   - floatcmp: no ==/!= on floating-point operands in simulation core;
 //     exact comparisons must be epsilon helpers or justified suppressions.
 //   - collsplit: no collective call reachable only under a rank-dependent
@@ -21,12 +19,20 @@
 //     sanitizer reports as a subset-collective violation.
 //   - tagpair: no literal send/recv tag that can never match within its
 //     package (a leaked send or a forever-blocked receive).
+//   - lockorder: no double acquisition, inconsistent lock order, or
+//     blocking channel operation while a mutex is held.
+//   - wirecover: every exported field of a //perflint:wire struct is read
+//     by its cover functions, so nothing rides the wire unconsumed.
+//   - chanlive: every blocking operation in a vmpi or dist goroutine comes
+//     after a stop-token observation on every path, so no goroutine
+//     outlives a RunError shutdown.
 //
 // A finding is silenced by a `//detlint:allow <analyzer> <reason>` comment
-// on (or immediately above) the offending statement; stale allows are
+// on (or immediately above) the offending line; stale allows are
 // themselves diagnostics. See package checker for the exact protocol and
-// DESIGN.md for the mapping from each analyzer to the paper-level
-// guarantee it protects.
+// DESIGN.md §6 for the audit of what each analyzer has caught. The
+// committed artifacts that need a whole-repository view (the escape budget
+// and the wire schema) are gated by cmd/perflint, not by this suite.
 package detlint
 
 import (
@@ -38,8 +44,8 @@ import (
 	"columbia/internal/analysis"
 )
 
-// Suite is every detlint analyzer, in reporting order.
-var Suite = []*analysis.Analyzer{FingerprintCover, NoDeterm, StopToken, FloatCmp, Collsplit, Tagpair}
+// Suite is every analyzer, in reporting order.
+var Suite = []*analysis.Analyzer{FingerprintCover, NoDeterm, FloatCmp, Collsplit, Tagpair, LockOrder, WireCover, ChanLive}
 
 // Names returns the suite's analyzer names, the vocabulary valid in
 // //detlint:allow comments.
@@ -64,6 +70,13 @@ var simPackages = map[string]bool{
 	"noise":    true,
 	"netmodel": true,
 	"report":   true,
+}
+
+// goroutinePackages are the packages whose goroutines must unwind on a
+// stop-token broadcast; chanlive applies only there.
+var goroutinePackages = map[string]bool{
+	"vmpi": true,
+	"dist": true,
 }
 
 // scopeName reduces a package to the name scope rules match on: the last
@@ -91,18 +104,109 @@ func isTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
-// calleeFunc resolves a call's callee to its function or method object,
-// or nil for indirect calls, builtins and conversions.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+// callee resolves a call's callee to its function or method object, or nil
+// for indirect calls, builtins and conversions. Methods of generic types
+// and explicitly instantiated generic functions resolve to their origin
+// (uninstantiated) object, so callgraph keys are stable across
+// instantiations.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[f].(*types.Func)
-		return fn
+		fn, _ = info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[f.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[f.Sel].(*types.Func)
+	case *ast.IndexExpr:
+		if id, ok := ast.Unparen(f.X).(*ast.Ident); ok {
+			fn, _ = info.Uses[id].(*types.Func)
+		}
+	case *ast.IndexListExpr:
+		if id, ok := ast.Unparen(f.X).(*ast.Ident); ok {
+			fn, _ = info.Uses[id].(*types.Func)
+		}
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
+}
+
+// declIndex maps every function and method object declared in the files
+// to its declaration.
+func declIndex(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl {
+	idx := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+				idx[fn.Origin()] = fd
+			}
+		}
+	}
+	return idx
+}
+
+// closure returns the declared functions reachable from roots through
+// in-package static calls, roots included. Dynamic calls through function
+// values and calls into other packages end the walk.
+func closure(info *types.Info, decls map[*types.Func]*ast.FuncDecl, roots []*types.Func) map[*types.Func]*ast.FuncDecl {
+	reach := make(map[*types.Func]*ast.FuncDecl)
+	var visit func(fn *types.Func)
+	visit = func(fn *types.Func) {
+		if fn == nil {
+			return
+		}
+		fn = fn.Origin()
+		fd, ok := decls[fn]
+		if !ok {
+			return
+		}
+		if _, seen := reach[fn]; seen {
+			return
+		}
+		reach[fn] = fd
+		if fd.Body == nil {
+			return
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				visit(callee(info, call))
+			}
+			return true
+		})
+	}
+	for _, r := range roots {
+		visit(r)
+	}
+	return reach
+}
+
+// markerPrefix introduces the source annotations that opt code into a
+// check: //perflint:wire <cover funcs> for wirecover and cmd/perflint's
+// wire schema, //perflint:hot for cmd/perflint's escape budget.
+const markerPrefix = "//perflint:"
+
+// Marker extracts the directive of the given kind ("hot", "wire") from a
+// doc comment group, returning the text after the keyword and whether the
+// directive is present.
+func Marker(doc *ast.CommentGroup, kind string) (string, bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		rest, ok := strings.CutPrefix(c.Text, markerPrefix+kind)
+		if !ok {
+			continue
+		}
+		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+			continue // e.g. //perflint:hotter — not this directive
+		}
+		return strings.TrimSpace(rest), true
+	}
+	return "", false
 }
 
 // pkgFunc reports whether fn is the package-level function path.name.
@@ -119,6 +223,17 @@ func structOf(t types.Type) *types.Struct {
 	}
 	s, _ := t.Underlying().(*types.Struct)
 	return s
+}
+
+// derefType strips every level of pointer from t.
+func derefType(t types.Type) types.Type {
+	for {
+		p, ok := t.Underlying().(*types.Pointer)
+		if !ok {
+			return t
+		}
+		t = p.Elem()
+	}
 }
 
 // namedStructOf is structOf restricted to named struct types; it returns

@@ -19,10 +19,15 @@ func TestAnalyzers(t *testing.T) {
 	}{
 		{"fingerprintcover", []string{"fp"}, []*analysis.Analyzer{detlint.FingerprintCover}},
 		{"nodeterm", []string{"vmpi", "notsim"}, []*analysis.Analyzer{detlint.NoDeterm}},
-		{"stoptoken", []string{"vmpi"}, []*analysis.Analyzer{detlint.StopToken}},
 		{"floatcmp", []string{"core"}, []*analysis.Analyzer{detlint.FloatCmp}},
 		{"collsplit", []string{"coll"}, []*analysis.Analyzer{detlint.Collsplit}},
 		{"tagpair", []string{"tags", "tagsdyn"}, []*analysis.Analyzer{detlint.Tagpair}},
+		{"lockorder", []string{"locks"}, []*analysis.Analyzer{detlint.LockOrder}},
+		{"wirecover", []string{"wire"}, []*analysis.Analyzer{detlint.WireCover}},
+		{"chanlive", []string{"vmpi", "dist"}, []*analysis.Analyzer{detlint.ChanLive}},
+		// stoptoken was folded into chanlive; its fixture stays as a
+		// regression set that chanlive must still catch in full.
+		{"stoptoken", []string{"vmpi"}, []*analysis.Analyzer{detlint.ChanLive}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,7 +48,7 @@ func TestAllowProtocol(t *testing.T) {
 // TestNames pins the allow-comment vocabulary; renaming an analyzer is an
 // interface change for every suppression in the repo.
 func TestNames(t *testing.T) {
-	want := []string{"fingerprintcover", "nodeterm", "stoptoken", "floatcmp", "collsplit", "tagpair"}
+	want := []string{"fingerprintcover", "nodeterm", "floatcmp", "collsplit", "tagpair", "lockorder", "wirecover", "chanlive"}
 	got := detlint.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

@@ -39,8 +39,12 @@ func runFingerprintCover(pass *analysis.Pass) error {
 	if len(targets) == 0 {
 		return nil
 	}
-	decls := declIndex(pass)
-	fpSet := fingerprintSet(pass, targets, decls)
+	decls := declIndex(pass.TypesInfo, pass.Files)
+	roots := make([]*types.Func, len(targets))
+	for i, tgt := range targets {
+		roots[i] = tgt.fp
+	}
+	fpSet := closure(pass.TypesInfo, decls, roots)
 	covered, delegated := coverage(pass, fpSet)
 	qual := func(p *types.Package) string {
 		if p == pass.Pkg {
@@ -117,55 +121,6 @@ func fpTargets(pass *analysis.Pass) []fpTarget {
 		}
 	}
 	return targets
-}
-
-// declIndex maps every function and method object declared in the package
-// to its syntax.
-func declIndex(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
-	idx := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					idx[fn] = fd
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// fingerprintSet computes the fingerprint functions: each target's
-// Fingerprint method plus, transitively, every same-package function or
-// method called from one.
-func fingerprintSet(pass *analysis.Pass, targets []fpTarget, decls map[*types.Func]*ast.FuncDecl) map[*types.Func]*ast.FuncDecl {
-	set := make(map[*types.Func]*ast.FuncDecl)
-	var work []*ast.FuncDecl
-	add := func(fn *types.Func) {
-		if d := decls[fn]; d != nil && set[fn] == nil {
-			set[fn] = d
-			work = append(work, d)
-		}
-	}
-	for _, tgt := range targets {
-		add(tgt.fp)
-	}
-	for len(work) > 0 {
-		d := work[0]
-		work = work[1:]
-		if d.Body == nil {
-			continue
-		}
-		ast.Inspect(d.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := calleeFunc(pass.TypesInfo, call); fn != nil {
-					add(fn)
-				}
-			}
-			return true
-		})
-	}
-	return set
 }
 
 // coverage walks the fingerprint functions and records every struct field

@@ -1,4 +1,4 @@
-package perflint
+package detlint
 
 import (
 	"go/ast"
@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"columbia/internal/analysis"
-	"columbia/internal/analysis/flow"
 )
 
 // LockOrder builds each package's lock graph and reports the three
@@ -72,10 +71,10 @@ type lockWalker struct {
 }
 
 func runLockOrder(pass *analysis.Pass) error {
-	decls := flow.DeclIndex(pass.TypesInfo, pass.Files)
+	decls := declIndex(pass.TypesInfo, pass.Files)
 	var units []*funcLock
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
+		if isTestFile(pass, f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -554,7 +553,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[lockID]heldInfo, deferred
 		}
 		return
 	}
-	if fn := flow.Callee(w.pass.TypesInfo, call); fn != nil {
+	if fn := callee(w.pass.TypesInfo, call); fn != nil {
 		if _, ok := w.decls[fn]; ok {
 			w.res.calls = append(w.res.calls, callSite{callee: fn, held: snapshot(held), pos: call.Pos()})
 		}
@@ -641,16 +640,6 @@ func (w *lockWalker) exprLockID(e ast.Expr) lockID {
 		return w.exprLockID(x.X)
 	}
 	return ""
-}
-
-func derefType(t types.Type) types.Type {
-	for {
-		p, ok := t.Underlying().(*types.Pointer)
-		if !ok {
-			return t
-		}
-		t = p.Elem()
-	}
 }
 
 func typeName(t types.Type) string {

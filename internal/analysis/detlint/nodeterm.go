@@ -141,7 +141,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, bodies []*ast.BlockSt
 // strings.Builder / bytes.Buffer write methods, fmt.Fprint*, and
 // io.WriteString.
 func isOrderedWrite(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -250,7 +250,7 @@ func sortedAfter(pass *analysis.Pass, v *types.Var, rs *ast.RangeStmt, bodies []
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := callee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

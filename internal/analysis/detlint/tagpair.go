@@ -94,7 +94,7 @@ func runTagpair(pass *analysis.Pass) error {
 // Recv/RecvBytes(src, tag), RecvAny(tag). Only methods count — the par
 // collectives are package functions and manage their own reserved tags.
 func commCall(pass *analysis.Pass, call *ast.CallExpr) (send bool, tagArg int, ok bool) {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := callee(pass.TypesInfo, call)
 	if fn == nil || fn.Type() == nil {
 		return false, 0, false
 	}

@@ -1,4 +1,4 @@
-package flow_test
+package detlint
 
 import (
 	"go/ast"
@@ -7,8 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"testing"
-
-	"columbia/internal/analysis/flow"
 )
 
 func loadSrc(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Info, *types.Package) {
@@ -41,7 +39,7 @@ func funcBody(f *ast.File, name string) *ast.FuncDecl {
 	return nil
 }
 
-// TestTaint proves fixed-point propagation: the seed flows through a
+// TestTaint proves collsplit's fixed-point propagation: the seed flows through a
 // chain of assignments and a multi-assign, and unrelated locals stay
 // clean.
 func TestTaint(t *testing.T) {
@@ -67,7 +65,7 @@ func f() int {
 		id, ok := call.Fun.(*ast.Ident)
 		return ok && id.Name == "seed"
 	}
-	tainted := flow.Taint(info, fd.Body, isSeed)
+	tainted := taint(info, fd.Body, isSeed)
 	names := map[string]bool{}
 	for obj := range tainted {
 		names[obj.Name()] = true
@@ -82,9 +80,9 @@ func f() int {
 	}
 }
 
-// TestClosure proves the transitive in-package walk: reached through a
-// chain and a method, not through dead code, generics resolved to their
-// origins.
+// TestClosure proves the transitive in-package walk fingerprintcover and
+// wirecover share: reached through a chain and a method, not through dead
+// code, generics resolved to their origins.
 func TestClosure(t *testing.T) {
 	src := `package p
 type s struct{}
@@ -96,12 +94,12 @@ func leaf() {}
 func dead() {}
 `
 	_, f, info, pkg := loadSrc(t, src)
-	decls := flow.DeclIndex(info, []*ast.File{f})
+	decls := declIndex(info, []*ast.File{f})
 	rootFn, _ := pkg.Scope().Lookup("root").(*types.Func)
 	if rootFn == nil {
 		t.Fatal("root not resolved")
 	}
-	cl := flow.Closure(info, decls, []*types.Func{rootFn})
+	cl := closure(info, decls, []*types.Func{rootFn})
 	got := map[string]bool{}
 	for fn := range cl {
 		got[fn.Name()] = true

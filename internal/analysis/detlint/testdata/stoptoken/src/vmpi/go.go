@@ -1,6 +1,7 @@
-// Package vmpi (fixture) exercises stoptoken: every goroutine in
-// non-test files must reference the rank stop token, directly or through
-// a stop-aware callee.
+// Package vmpi (fixture) keeps the cases of the former stoptoken analyzer,
+// now checked by chanlive: a goroutine that can block before it observes
+// the rank stop token outlives a RunError shutdown. All three leaks
+// stoptoken reported must still fire, at the blocking operation.
 package vmpi
 
 // stopToken mirrors the real engine's shutdown panic value.
@@ -11,7 +12,8 @@ type engine struct {
 	parked   chan int
 }
 
-// runRank is stop-aware: it panics with stopToken when asked to unwind.
+// runRank is stop-aware: it panics with stopToken when asked to unwind,
+// so its send runs observed and calling it counts as an observation.
 func (e *engine) runRank(id int) {
 	if e.stopping {
 		panic(stopToken{})
@@ -19,9 +21,10 @@ func (e *engine) runRank(id int) {
 	e.parked <- id
 }
 
-// drain never consults the token.
+// drain never consults the token: each iteration of the range is a
+// blocking receive nothing can interrupt.
 func (e *engine) drain() {
-	for range e.parked {
+	for range e.parked { // want `chanlive: range over a channel`
 	}
 }
 
@@ -40,19 +43,19 @@ func (e *engine) start() {
 	// Named stop-aware method.
 	go e.runRank(2)
 	// Neither: leaks past shutdown.
-	go e.drain() // want `stoptoken: goroutine started without referencing the rank stop token`
-	go func() {  // want `stoptoken: goroutine started without referencing the rank stop token`
-		e.parked <- 3
+	go e.drain()
+	go func() {
+		e.parked <- 3 // want `chanlive: blocking channel send`
 	}()
 	// Justified fire-and-forget.
-	//detlint:allow stoptoken metrics flush, exits with the process
 	go func() {
+		//detlint:allow chanlive metrics flush, exits with the process
 		e.parked <- 4
 	}()
-	// The only token mention sits after an unconditional return: the CFG
-	// rebase sees it is unreachable and still flags the goroutine.
-	go func() { // want `stoptoken: goroutine started without referencing the rank stop token`
-		e.parked <- 5
+	// The only token mention sits after an unconditional return, where
+	// no running goroutine can reach it.
+	go func() {
+		e.parked <- 5 // want `chanlive: blocking channel send`
 		return
 		if e.stopping {
 			panic(stopToken{})

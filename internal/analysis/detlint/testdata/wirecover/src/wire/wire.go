@@ -77,3 +77,15 @@ func use() {
 }
 
 var sink func(Msg)
+
+// HelloAck is the handshake reply whose PID the supervisor once ignored:
+// the cover function checked the version and never read the worker's
+// process id, so quarantine messages could not name the crashed worker.
+//
+//perflint:wire ensure
+type HelloAck struct {
+	Version int
+	PID     int // want `wirecover: wire field HelloAck\.PID is never read in cover function\(s\) ensure`
+}
+
+func ensure(ack HelloAck) bool { return ack.Version == 2 }

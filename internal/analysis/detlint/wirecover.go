@@ -1,4 +1,4 @@
-package perflint
+package detlint
 
 import (
 	"go/ast"
@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"columbia/internal/analysis"
-	"columbia/internal/analysis/flow"
 )
 
 // WireCover proves the wire structs can't drift: a struct annotated
@@ -30,9 +29,9 @@ var WireCover = &analysis.Analyzer{
 }
 
 func runWireCover(pass *analysis.Pass) error {
-	decls := flow.DeclIndex(pass.TypesInfo, pass.Files)
+	decls := declIndex(pass.TypesInfo, pass.Files)
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
+		if isTestFile(pass, f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -88,16 +87,15 @@ func checkWireStruct(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, t
 		}
 		roots = append(roots, fn)
 	}
-	closure := flow.Closure(pass.TypesInfo, decls, roots)
-	if len(closure) == 0 {
+	reach := closure(pass.TypesInfo, decls, roots)
+	if len(reach) == 0 {
 		pass.Reportf(ts.Pos(), "//perflint:wire on %s: no cover function body found in this package", ts.Name.Name)
 		return
 	}
 
 	read := make(map[string]bool)
 	delegated := false
-	for _, fn := range flow.SortedFuncs(closure) {
-		fd := closure[fn]
+	for _, fd := range reach {
 		if fd.Body == nil {
 			continue
 		}
@@ -108,7 +106,7 @@ func checkWireStruct(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, t
 					markWireReads(target, s, read)
 				}
 			case *ast.CallExpr:
-				if flow.Callee(pass.TypesInfo, x) != nil {
+				if callee(pass.TypesInfo, x) != nil {
 					return true
 				}
 				// Dynamic call: the whole struct passed through an

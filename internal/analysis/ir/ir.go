@@ -1,20 +1,14 @@
-// Package ir is the control-flow layer of the analysis suites: a
+// Package ir is the control-flow layer of the analysis suite: a
 // per-function control-flow graph built from syntax alone (if/for/range/
 // switch/type-switch/select/defer/goto and labeled break/continue all
-// lowered to blocks and edges), a generic worklist solver over it, and the
-// first dataflow instances — reaching definitions, liveness and
-// postdominators — that the scalelint analyzers and the CFG-rebased
-// detlint analyzers build on.
-//
-// The AST-and-taint substrate in internal/analysis/flow answers "can this
-// value carry that property"; it is deliberately path-insensitive. This
-// package answers the questions flow cannot: does every path to this
-// blocking send observe the stop token, is this collective call
-// control-dependent on a rank-dependent branch, which definitions reach
-// this use. Like package analysis itself, the shapes deliberately stay
-// close to the upstream golang.org/x/tools/go/cfg + go/ssa vocabulary so a
-// migration would be an import change, not a rewrite (x/tools cannot be
-// vendored here; builds must work from a clean module cache).
+// lowered to blocks and edges), a generic worklist solver over it, and
+// postdominators. chanlive (must the stop token be observed before every
+// blocking operation) and collsplit (is this collective control-dependent
+// on a rank-dependent branch) are built on it. Like package analysis
+// itself, the shapes deliberately stay close to the upstream
+// golang.org/x/tools/go/cfg vocabulary so a migration would be an import
+// change, not a rewrite (x/tools cannot be vendored here; builds must work
+// from a clean module cache).
 //
 // # Block contents
 //
@@ -99,18 +93,8 @@ func New(body *ast.BlockStmt) *Graph {
 
 // Reachable returns the set of blocks reachable from the entry block.
 func (g *Graph) Reachable() map[*Block]bool {
-	reach := make(map[*Block]bool)
-	var visit func(b *Block)
-	visit = func(b *Block) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range b.Succs {
-			visit(s)
-		}
-	}
-	visit(g.Entry)
+	reach := ReachableFrom(g.Entry)
+	reach[g.Entry] = true
 	return reach
 }
 
@@ -164,13 +148,6 @@ func Walk(n ast.Node, fn func(ast.Node) bool) {
 			}
 			return fn(c)
 		})
-	}
-}
-
-// WalkBlock applies Walk to every node of the block, in execution order.
-func WalkBlock(b *Block, fn func(ast.Node) bool) {
-	for _, n := range b.Nodes {
-		Walk(n, fn)
 	}
 }
 

@@ -140,54 +140,98 @@ func TestGraphShape(t *testing.T) {
 	})
 }
 
+// blockSets is the dominator-style problem over block sets: the fact at a
+// block is the set of blocks every path (from entry when solved forward,
+// to exit when solved backward) passes through, the block itself included.
+func blockSets(g *ir.Graph, dir ir.Dir) ir.Problem[map[*ir.Block]bool] {
+	all := make(map[*ir.Block]bool, len(g.Blocks))
+	for _, b := range g.Blocks {
+		all[b] = true
+	}
+	return ir.Problem[map[*ir.Block]bool]{
+		Dir:      dir,
+		Boundary: map[*ir.Block]bool{},
+		Init:     all,
+		Meet: func(a, b map[*ir.Block]bool) map[*ir.Block]bool {
+			out := make(map[*ir.Block]bool)
+			for k := range a {
+				if b[k] {
+					out[k] = true
+				}
+			}
+			return out
+		},
+		Equal: func(a, b map[*ir.Block]bool) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for k := range a {
+				if !b[k] {
+					return false
+				}
+			}
+			return true
+		},
+		Transfer: func(b *ir.Block, in map[*ir.Block]bool) map[*ir.Block]bool {
+			out := make(map[*ir.Block]bool, len(in)+1)
+			for k := range in {
+				out[k] = true
+			}
+			out[b] = true
+			return out
+		},
+	}
+}
+
 // TestWorklistConvergence bounds the solver on the loop-heavy fixture:
 // nested loops and a switch must converge in a small multiple of the block
-// count for both a forward and a backward instance, and the solved facts
-// must be right at spot-checked points.
+// count for both a forward instance (dominators) and a backward one
+// (postdominators, which must agree with ir.Postdominators), and the
+// solved facts must be right at spot-checked points.
 func TestWorklistConvergence(t *testing.T) {
-	_, f, info := loadFixture(t)
-	fd := fixtureFunc(t, f, "loopHeavy")
-	g := ir.New(fd.Body)
+	_, f, _ := loadFixture(t)
+	g := ir.New(fixtureFunc(t, f, "loopHeavy").Body)
 	bound := 6 * len(g.Blocks)
+	reach := g.Reachable()
 
-	live := ir.Liveness(g, info)
-	if live.Steps > bound {
-		t.Errorf("liveness took %d transfer steps on %d blocks, want <= %d", live.Steps, len(g.Blocks), bound)
+	dom := ir.Solve(g, blockSets(g, ir.Forward))
+	if dom.Steps > bound {
+		t.Errorf("dominators took %d transfer steps on %d blocks, want <= %d", dom.Steps, len(g.Blocks), bound)
 	}
-	reaching, defs := ir.ReachingDefs(g, info)
-	if reaching.Steps > bound {
-		t.Errorf("reaching-defs took %d transfer steps on %d blocks, want <= %d", reaching.Steps, len(g.Blocks), bound)
+	pdom := ir.Solve(g, blockSets(g, ir.Backward))
+	if pdom.Steps > bound {
+		t.Errorf("postdominators took %d transfer steps on %d blocks, want <= %d", pdom.Steps, len(g.Blocks), bound)
 	}
 
-	// acc is live at every loop head: it carries across iterations. For a
-	// backward problem In[b] is the fact at the block's end, so In[Entry]
-	// is the program point just after `acc := 0`.
-	var accObj types.Object
-	for obj := range live.In[g.Entry] {
-		if obj.Name() == "acc" {
-			accObj = obj
+	// Entry dominates every reachable block, and each loop head dominates
+	// the body it guards.
+	for b := range reach {
+		if !dom.Out[b][g.Entry] {
+			t.Errorf("entry does not dominate reachable block b%d (%s)", b.Index, b.Kind)
 		}
 	}
-	if accObj == nil {
-		t.Fatal("acc not live after its initialization — use/def extraction broken")
-	}
 	for _, b := range g.Blocks {
-		if b.Kind == "for.head" || b.Kind == "range.head" {
-			if !live.Out[b][accObj] {
-				t.Errorf("acc not live at %s (b%d)", b.Kind, b.Index)
+		if b.Kind != "for.head" && b.Kind != "range.head" {
+			continue
+		}
+		for _, s := range b.Succs {
+			if (s.Kind == "for.body" || s.Kind == "range.body") && !dom.Out[s][b] {
+				t.Errorf("%s b%d does not dominate its body b%d", b.Kind, b.Index, s.Index)
 			}
 		}
 	}
 
-	// Both the init and the loop-carried updates of acc reach the exit.
-	accDefs := 0
-	for _, d := range defs {
-		if d.Obj == accObj && reaching.In[g.Exit][d] {
-			accDefs++
+	want := ir.Postdominators(g)
+	for _, b := range g.Blocks {
+		if len(want[b]) != len(pdom.Out[b]) {
+			t.Errorf("b%d: backward solve has %d postdominators, ir.Postdominators %d", b.Index, len(pdom.Out[b]), len(want[b]))
+			continue
 		}
-	}
-	if accDefs < 3 {
-		t.Errorf("%d definitions of acc reach exit, want >= 3 (init, -=, +=)", accDefs)
+		for p := range want[b] {
+			if !pdom.Out[b][p] {
+				t.Errorf("b%d: ir.Postdominators lists b%d, the backward solve does not", b.Index, p.Index)
+			}
+		}
 	}
 }
 

@@ -4,11 +4,11 @@ package ir
 type Dir int
 
 const (
-	// Forward propagates facts along successor edges (reaching
-	// definitions, must-have-observed).
+	// Forward propagates facts along successor edges (chanlive's
+	// must-have-observed).
 	Forward Dir = iota
-	// Backward propagates facts along predecessor edges (liveness,
-	// postdominators).
+	// Backward propagates facts along predecessor edges
+	// (postdominators).
 	Backward
 )
 

@@ -151,10 +151,16 @@ func TestFaultPoolCancellationDrainsQueue(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPoolOpts(ctx, Options{Workers: 1})
 	release := make(chan struct{})
+	started := make(chan struct{})
 	running := CachedCtx(p, "running", func(c context.Context) (int, error) {
+		close(started)
 		<-release
 		return 0, c.Err() // observes cancellation like vmpi.RunCtx would
 	})
+	// Queue the rest only once "running" holds the single lane: leaves
+	// race for it, so a queued point submitted earlier could win the lane
+	// and run before cancel().
+	<-started
 	var ran atomic.Int32
 	var queued []Future[int]
 	for i := 0; i < 8; i++ {

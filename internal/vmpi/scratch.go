@@ -104,7 +104,7 @@ var scratchPool calendar.SharedPool[engineScratch]
 // a cluster of nodes boxes. Missing rank records are created; existing ones
 // are reset but keep their mailbox storage and parking channel.
 //
-//perflint:pooled the scratch pool owns the per-rank records; growing them here is how reuse amortizes them
+// The scratch pool owns the per-rank records; growing them here is how reuse amortizes them.
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 	s := a.take()
 	if s == nil {

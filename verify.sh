@@ -15,30 +15,20 @@ fi
 echo "== go vet =="
 go vet ./...
 
-# Static analysis suite: the determinism analyzers (fingerprint coverage,
-# wall-clock/map-order hazards, stop-token discipline, exact float
-# comparisons, collsplit, tagpair — DESIGN.md §6-§7), the
-# performance/concurrency analyzers (hotalloc escape budgets, lockorder,
-# wirecover — DESIGN.md §11) and the CFG-based scalability analyzers
-# (rankscale O(ranks) budgets, chanlive path-sensitive stop-token
-# liveness, wiredrift gob-shape freezing — DESIGN.md §12) in one vettool.
-# All three suites are blocking here.
-echo "== detlint + perflint + scalelint analyzers =="
+# Static analysis suite (internal/analysis/detlint, DESIGN.md §6): eight
+# analyzers guarding fingerprint coverage, wall-clock/map-order hazards,
+# exact float comparisons, conditional collectives, unmatched tags, lock
+# order, wire-field coverage and stop-token liveness, in one vettool.
+echo "== detlint analyzers =="
 go build -o bin/detlint ./cmd/detlint
 go vet -vettool=bin/detlint ./...
 
-# Committed-artifact gates: the hotalloc escape budget (static counts and
-# the compiler's own -gcflags=-m diagnostics), the rankscale site budget,
-# and the wire schema vs dist.ProtocolVersion. Blocking — a new escape, an
-# unbudgeted O(ranks) site or a drifted wire shape fails verification
-# before the build/test steps run.
-echo "== perflint artifact gates (escape budget, rank budget, wire schema) =="
+# Committed-artifact gates: the escape budget (the compiler's -gcflags=-m
+# heap escapes per //perflint:hot function) and the wire schema vs
+# dist.ProtocolVersion. Blocking — a new escape or a drifted wire shape
+# fails verification before the build/test steps run.
+echo "== perflint artifact gates (escape budget, wire schema) =="
 go run ./cmd/perflint
-
-# Per-analyzer wall time and diagnostic counts, in-process over every
-# package. Informational: the vet run above is the blocking gate.
-echo "== analyzer stats =="
-go run ./cmd/perflint -stats
 
 echo "== go build =="
 go build ./...
