@@ -19,7 +19,6 @@
 //	columbia -timeout 30s all                  bound each sweep point's wall clock
 //	columbia -max-retries 2 -faults ... all    retry retryable failures
 //	columbia -commsan run fig8                 run under the communication sanitizer
-//	columbia -engine goroutine run fig5        select the vmpi execution engine
 //	columbia -workers 2 -faults wkill=3 all    chaos: each worker dies after 3 points
 //
 // Performance-noise ensembles (see DESIGN.md, "Performance noise and
@@ -61,7 +60,6 @@ import (
 	"columbia/internal/noise"
 	"columbia/internal/report"
 	"columbia/internal/sweep"
-	"columbia/internal/vmpi"
 )
 
 func main() {
@@ -106,9 +104,6 @@ func workerSetup(h dist.Hello) (dist.Executor, error) {
 		core.SetFaultPlan(plan)
 	}
 	core.SetSanitize(h.Commsan)
-	if h.Engine != "" {
-		core.SetEngine(vmpi.Engine(h.Engine))
-	}
 	if h.Noise != "" {
 		spec, err := noise.Parse(h.Noise)
 		if err != nil {
@@ -183,24 +178,33 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		plotOut    = fs.Bool("plot", false, "append ASCII plots")
 		jobs       = fs.Int("j", 0, "sweep affinity lanes (0 = GOMAXPROCS); concurrent points are additionally clamped to GOMAXPROCS")
 		workers    = fs.Int("workers", 0, "supervised worker processes for sweep points (0 = in-process); crashes are retried, crash-looping points degrade to !workercrash cells")
-		workerMode = fs.Bool("worker", false, "serve sweep points over stdin/stdout (internal; supervisors normally spawn workers via COLUMBIA_WORKER=1)")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget per sweep point (0 = none)")
 		maxRetries = fs.Int("max-retries", 0, "retries for retryable point failures (timeouts, transient faults, worker crashes)")
 		faultSpec  = fs.String("faults", "", "comma-separated fault plan, e.g. nodedown=0,slownode=1:1.5,wkill=2 (see DESIGN.md)")
 		commsan    = fs.Bool("commsan", false, "run every simulation under the communication sanitizer (races, unmatched traffic, collective mismatches fail as !sanitizer cells)")
-		engineSel  = fs.String("engine", "", "vmpi execution engine: calendar (default) or goroutine (the legacy central-loop scheduler; byte-identical output, see DESIGN.md §8)")
 		noiseSpec  = fs.String("noise", "", "comma-separated performance-noise spec, e.g. jitter=exp:0.05,daemon=0.01:0.2:3:2,seed=7 (see DESIGN.md §13)")
 		replicaCnt = fs.Int("replicas", 1, "noise-ensemble size: run every sweep point N times with distinct replica indices and report min/avg/max cells (needs -noise to draw distinct samples)")
 	)
 	usage := func() int {
-		fmt.Fprintln(stderr, "usage: columbia [-csv] [-plot] [-j N] [-workers N] [-timeout D] [-max-retries N] [-faults SPEC] [-noise SPEC] [-replicas N] [-commsan] [-engine NAME] {list | all | run <id>...}")
+		fmt.Fprintln(stderr, "usage: columbia [-csv] [-plot] [-j N] [-workers N] [-timeout D] [-max-retries N] [-faults SPEC] [-noise SPEC] [-replicas N] [-commsan] {list | all | run <id>...}")
 		return 2
 	}
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	if *workerMode {
-		return workerMain()
+	for _, c := range []struct {
+		flag     string
+		negative bool
+	}{
+		{"j", *jobs < 0},
+		{"workers", *workers < 0},
+		{"max-retries", *maxRetries < 0},
+		{"timeout", *timeout < 0},
+	} {
+		if c.negative {
+			fmt.Fprintf(stderr, "columbia: -%s must be non-negative\n", c.flag)
+			return 2
+		}
 	}
 	sweep.Configure(ctx, sweep.Options{
 		Workers:    *jobs,
@@ -221,17 +225,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if *commsan {
 		core.SetSanitize(true)
 		defer core.SetSanitize(false)
-	}
-	if *engineSel != "" {
-		switch e := vmpi.Engine(*engineSel); e {
-		case vmpi.EngineCalendar, vmpi.EngineGoroutine:
-			core.SetEngine(e)
-			defer core.SetEngine("")
-		default:
-			fmt.Fprintf(stderr, "columbia: unknown engine %q (valid: %s, %s)\n",
-				*engineSel, vmpi.EngineCalendar, vmpi.EngineGoroutine)
-			return 2
-		}
 	}
 	noiseFP := ""
 	if *noiseSpec != "" {
@@ -266,7 +259,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 				Faults:    faultsFP,
 				Commsan:   *commsan,
 				Noise:     noiseFP,
-				Engine:    *engineSel,
 				Timeout:   *timeout,
 				Heartbeat: workerHeartbeat,
 			},

@@ -103,34 +103,26 @@ func TestCommsanRunMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestEngineFlagMatchesDefault(t *testing.T) {
+// TestNegativeCountsAreUsageErrors: a negative count or duration is
+// rejected with exit 2 and a line naming the flag, before anything runs.
+func TestNegativeCountsAreUsageErrors(t *testing.T) {
 	defer resetGlobals()
-	var cal, calErr strings.Builder
-	if code := run(context.Background(), []string{"run", "table2"}, &cal, &calErr); code != 0 {
-		t.Fatalf("default run exit = %d\nstderr: %s", code, calErr.String())
-	}
-	var gor, gorErr strings.Builder
-	if code := run(context.Background(), []string{"-engine", "goroutine", "run", "table2"}, &gor, &gorErr); code != 0 {
-		t.Fatalf("-engine goroutine exit = %d\nstderr: %s", code, gorErr.String())
-	}
-	if cal.String() != gor.String() {
-		t.Errorf("-engine goroutine perturbed the output\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-			cal.String(), gor.String())
-	}
-	// The deferred reset must leave the selector at the default.
-	if core.EngineSelector() != "" {
-		t.Errorf("-engine leaked: selector = %q after run returned", core.EngineSelector())
-	}
-}
-
-func TestBadEngineIsUsageError(t *testing.T) {
-	defer resetGlobals()
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-engine", "bogus", "run", "table1"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2 (usage error)", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown engine") {
-		t.Errorf("stderr %q does not name the bad engine", errOut.String())
+	for _, flag := range [][]string{
+		{"-j", "-3"},
+		{"-workers", "-2"},
+		{"-max-retries", "-1"},
+		{"-timeout", "-1s"},
+	} {
+		code, out, errOut := runCLI(flag[0], flag[1], "run", "table1")
+		if code != 2 {
+			t.Errorf("%s %s: exit = %d, want 2", flag[0], flag[1], code)
+		}
+		if want := "columbia: " + flag[0] + " must be"; !strings.Contains(errOut, want) {
+			t.Errorf("%s %s: stderr %q does not contain %q", flag[0], flag[1], errOut, want)
+		}
+		if out != "" {
+			t.Errorf("%s %s: printed output before rejecting the flag:\n%s", flag[0], flag[1], out)
+		}
 	}
 }
 
@@ -151,23 +143,27 @@ func runCLI(args ...string) (int, string, string) {
 }
 
 // TestWorkersByteIdentity: the supervised multi-process sweep produces the
-// exact bytes of the serial run for every fleet size.
+// exact bytes of the serial run for every fleet size, plain and under
+// -commsan, whose toggle reaches the workers through the handshake.
 func TestWorkersByteIdentity(t *testing.T) {
 	defer resetGlobals()
-	args := []string{"run", "table1", "stride"}
-	code, serial, _ := runCLI(args...)
-	if code != 0 {
-		t.Fatalf("serial exit = %d", code)
-	}
-	for _, w := range []string{"2", "4"} {
+	for _, flags := range [][]string{nil, {"-commsan"}} {
+		args := append(flags, "run", "table1", "stride")
 		resetGlobals()
-		code, out, errOut := runCLI(append([]string{"-workers", w}, args...)...)
+		code, serial, _ := runCLI(args...)
 		if code != 0 {
-			t.Fatalf("-workers %s exit = %d\nstderr: %s", w, code, errOut)
+			t.Fatalf("%v serial exit = %d", flags, code)
 		}
-		if out != serial {
-			t.Errorf("-workers %s output differs from serial\n--- serial ---\n%s\n--- workers ---\n%s",
-				w, serial, out)
+		for _, w := range []string{"2", "4"} {
+			resetGlobals()
+			code, out, errOut := runCLI(append([]string{"-workers", w}, args...)...)
+			if code != 0 {
+				t.Fatalf("%v -workers %s exit = %d\nstderr: %s", flags, w, code, errOut)
+			}
+			if out != serial {
+				t.Errorf("%v -workers %s output differs from serial\n--- serial ---\n%s\n--- workers ---\n%s",
+					flags, w, serial, out)
+			}
 		}
 	}
 }
@@ -298,9 +294,6 @@ func TestCanceledRunReportsPartialResults(t *testing.T) {
 	}
 }
 
-// TestWorkerFlagServes: -worker is a first-class way to start a worker; it
-// must speak the protocol on stdin/stdout (exercised via the env path in
-// the other tests, so here we only check flag wiring rejects nothing).
 func TestFailureSummaryTalliesKinds(t *testing.T) {
 	defer resetGlobals()
 	_, _, errOut := runCLI("-faults", "nodedown=0", "run", "stride")

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"columbia/internal/fault"
 	"columbia/internal/noise"
+	"columbia/internal/sweep"
 	"columbia/internal/vmpi"
 )
 
@@ -33,15 +38,69 @@ func diffNoiseSpec() *noise.Spec {
 	return s
 }
 
+// engineOracle is the test-only Dispatcher behind TestEngineDifferential.
+// It serves each point in-process twice under one pooled arena — once as
+// is (the calendar engine) and once on the reference goroutine engine
+// (vmpi.WithEngine) — and records every point whose result bytes or error
+// text differ. The calendar outcome is what the report renders. The arena
+// pool also bounds how many points, and goroutine-engine rank fleets, are
+// live at once.
+type engineOracle struct {
+	arenas chan *vmpi.Arena
+	mu     sync.Mutex
+	diffs  []string
+}
+
+func newEngineOracle(n int) *engineOracle {
+	o := &engineOracle{arenas: make(chan *vmpi.Arena, n)}
+	for i := 0; i < n; i++ {
+		o.arenas <- vmpi.NewArena()
+	}
+	return o
+}
+
+func (o *engineOracle) Do(ctx context.Context, _, kind, key string, spec []byte) ([]byte, error) {
+	a := <-o.arenas
+	defer func() { o.arenas <- a }()
+	ctx = vmpi.WithArena(ctx, a)
+	cal, calErr := ExecutePoint(ctx, kind, key, spec)
+	gor, gorErr := ExecutePoint(vmpi.WithEngine(ctx, vmpi.EngineGoroutine), kind, key, spec)
+	if c, g := outcome(cal, calErr), outcome(gor, gorErr); c != g {
+		o.mu.Lock()
+		o.diffs = append(o.diffs, fmt.Sprintf("point %s: engines disagree\n--- calendar ---\n%s\n--- goroutine ---\n%s", key, c, g))
+		o.mu.Unlock()
+	}
+	return cal, calErr
+}
+
+// take returns and clears the disagreements recorded so far.
+func (o *engineOracle) take() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	d := o.diffs
+	o.diffs = nil
+	return d
+}
+
+// outcome renders a served point for comparison: the full error text on
+// failure, the exact gob-encoded result bytes otherwise.
+func outcome(res []byte, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprintf("result %x", res)
+}
+
 // TestEngineDifferential is the equivalence contract between the two vmpi
-// execution engines (DESIGN.md §8): every registered experiment, run under
-// the event-calendar engine and the goroutine engine, must render
-// byte-identical report output — plain, under a degrading fault plan,
-// under the communication sanitizer, and under seeded performance noise
-// (alone and stacked on the fault plan, whose seed decorrelates the jitter
-// streams). The engine selector is part of each point's fingerprint, so
-// the two passes never share a memo-cache entry: the goroutine pass
-// genuinely recomputes every sweep point.
+// execution engines (DESIGN.md §8): every sweep point of every registered
+// experiment, run under the event-calendar engine and the goroutine
+// engine, must produce identical result bytes (unrounded values, not
+// rendered cells) or identical error text — plain, under a degrading fault
+// plan, under the communication sanitizer, and under seeded performance
+// noise (alone and stacked on the fault plan, whose seed decorrelates the
+// jitter streams). Points reach the engines through engineOracle on a
+// fresh sweep pool, so each distinct point of a mode is compared exactly
+// once, and a disagreement names the point's cache key.
 func TestEngineDifferential(t *testing.T) {
 	modes := []struct {
 		name     string
@@ -55,8 +114,12 @@ func TestEngineDifferential(t *testing.T) {
 		{"noisy", nil, false, diffNoiseSpec()},
 		{"noisy-faulted", diffFaultPlan().WithSeed(7), false, diffNoiseSpec()},
 	}
+	oracle := newEngineOracle(runtime.GOMAXPROCS(0))
+	sweep.SetWorkers(0) // a cold cache: no point is served from an earlier test
+	SetDispatcher(oracle)
 	defer func() {
-		SetEngine("")
+		SetDispatcher(nil)
+		sweep.SetWorkers(0)
 		SetFaultPlan(nil)
 		SetSanitize(false)
 		SetNoise(nil)
@@ -72,13 +135,9 @@ func TestEngineDifferential(t *testing.T) {
 				SetFaultPlan(m.faults)
 				SetSanitize(m.sanitize)
 				SetNoise(m.noise)
-				SetEngine(vmpi.EngineCalendar)
-				cal := experimentCSV(e)
-				SetEngine(vmpi.EngineGoroutine)
-				gor := experimentCSV(e)
-				if cal != gor {
-					t.Fatalf("%s (%s): engines disagree\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-						e.ID, m.name, cal, gor)
+				experimentCSV(e)
+				for _, d := range oracle.take() {
+					t.Error(d)
 				}
 			})
 		}

@@ -18,7 +18,6 @@ var (
 	faultMu   sync.Mutex
 	faultPlan *fault.Plan
 	sanitize  bool
-	engine    vmpi.Engine
 	noiseSpec *noise.Spec
 	replicas  int
 )
@@ -57,26 +56,6 @@ func Sanitize() bool {
 	return sanitize
 }
 
-// SetEngine selects the vmpi execution engine for every subsequently
-// submitted simulation point; the zero value restores the default
-// (vmpi.EngineCalendar). The two engines are result-equivalent, so points
-// run under the default share cache entries with explicit EngineCalendar
-// points, while vmpi.EngineGoroutine points are keyed separately — the
-// differential tests rely on that isolation to compare engines honestly.
-func SetEngine(e vmpi.Engine) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	engine = e
-}
-
-// EngineSelector returns the currently selected engine (empty for the
-// default).
-func EngineSelector() vmpi.Engine {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	return engine
-}
-
 // SetNoise installs the performance-noise specification applied to every
 // subsequently submitted simulation point; nil (or an empty spec) restores
 // silence. Noisy and silent points never share memo-cache entries — the
@@ -113,16 +92,15 @@ func Replicas() int {
 	return replicas
 }
 
-// withFaults stamps the active fault plan, sanitizer toggle, engine
-// selector and noise spec (bound to the given ensemble replica) into a
-// point's config. Call it before computing the cache key so the fingerprint
-// reflects all of them. Under a silent spec the replica index is discarded
-// — every replica of a noiseless point shares one fingerprint, so an
-// ensemble sweep without -noise memo-collapses to single computations.
+// withFaults stamps the active fault plan, sanitizer toggle and noise spec
+// (bound to the given ensemble replica) into a point's config. Call it
+// before computing the cache key so the fingerprint reflects all of them.
+// Under a silent spec the replica index is discarded — every replica of a
+// noiseless point shares one fingerprint, so an ensemble sweep without
+// -noise memo-collapses to single computations.
 func withFaults(cfg vmpi.Config, replica int) vmpi.Config {
 	cfg.Faults = FaultPlan()
 	cfg.Sanitize = Sanitize()
-	cfg.Engine = EngineSelector()
 	if spec := NoisePlan(); !spec.Empty() {
 		cfg.Noise = spec.WithReplica(replica)
 	}

@@ -79,9 +79,9 @@ func (r ClusterRef) cluster() *machine.Cluster {
 
 // PointSpec is the wire form of one sweep point: everything a worker
 // process needs to rebuild the point's configuration — and, crucially, its
-// cache key — bit-for-bit. The fault plan, sanitizer toggle and engine
-// selector deliberately do not appear: they are process-global on both
-// sides, installed in the worker from the protocol handshake, so a spec
+// cache key — bit-for-bit. The fault plan, sanitizer toggle and noise spec
+// deliberately do not appear: they are process-global on both sides,
+// installed in the worker from the protocol handshake, so a spec
 // cannot smuggle in a configuration the handshake didn't establish. Every
 // field must be folded into the cache key or the run configuration by
 // buildPoint — a field the builder ignores can drift between processes
@@ -208,7 +208,6 @@ func buildPoint(spec PointSpec) (string, func(context.Context) (any, error), err
 				Faults:   keyCfg.Faults,
 				Noise:    keyCfg.Noise,
 				Sanitize: keyCfg.Sanitize,
-				Engine:   keyCfg.Engine,
 			}, fn)
 			if err != nil {
 				return 0.0, err

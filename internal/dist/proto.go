@@ -20,8 +20,8 @@
 // dead, and the supervisor recycles the worker. The first frame in each
 // direction is the handshake — Hello down, HelloAck up — carrying the
 // protocol version and the run configuration (fault-plan fingerprint,
-// sanitizer and engine selection, per-point budget, heartbeat interval), so
-// a worker from a stale binary fails loudly at startup instead of computing
+// sanitizer toggle, noise spec, per-point budget, heartbeat interval), so a
+// worker from a stale binary fails loudly at startup instead of computing
 // cells under the wrong configuration.
 package dist
 
@@ -37,8 +37,9 @@ import (
 
 // ProtocolVersion is bumped whenever the frame vocabulary or a message
 // shape changes incompatibly; the handshake rejects a mismatch.
-// Version 2 added Hello.Noise and PointSpec.Replica (noise ensembles).
-const ProtocolVersion = 2
+// Version 2 added Hello.Noise and PointSpec.Replica (noise ensembles);
+// version 3 removed Hello.Engine (the engine is no longer a run option).
+const ProtocolVersion = 3
 
 // maxFrame bounds a frame body. A corrupt length prefix must not make the
 // reader allocate gigabytes before the CRC gets a chance to object.
@@ -73,8 +74,6 @@ type Hello struct {
 	// it so replica-bearing point specs stamp identical noise fingerprints
 	// — and therefore identical cache keys — on both sides.
 	Noise string
-	// Engine selects the vmpi scheduling engine ("heap", "calendar", ...).
-	Engine string
 	// Timeout is the per-point wall-clock budget the worker enforces; the
 	// supervisor deliberately does not double-budget (a local deadline
 	// would relabel the worker's "!timeout" cells "!canceled").

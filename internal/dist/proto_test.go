@@ -17,7 +17,7 @@ func TestFaultFrameRoundTrip(t *testing.T) {
 		typ     byte
 		payload any
 	}{
-		{frameHello, Hello{Version: 1, Faults: "wkill=3", Commsan: true, Engine: "calendar",
+		{frameHello, Hello{Version: 1, Faults: "wkill=3", Commsan: true, Noise: "jitter=exp:0.05,seed=3",
 			Timeout: 30 * time.Second, Heartbeat: time.Second}},
 		{frameHelloAck, HelloAck{Version: 1, PID: 4242}},
 		{frameRequest, Request{Seq: 7, Kind: "npb-mpi", Key: "npb/mpi/ft/A/x", Spec: []byte{1, 2, 3}}},

@@ -19,7 +19,7 @@ import (
 type Executor func(ctx context.Context, kind, key string, spec []byte) ([]byte, error)
 
 // Setup builds the worker's executor once the handshake arrives: it applies
-// the run configuration the Hello carries (fault plan, sanitizer, engine)
+// the run configuration the Hello carries (fault plan, sanitizer, noise)
 // to the worker's own process state and returns the executor that serves
 // requests under it. A setup error aborts the worker before it computes
 // anything under a misconfiguration.

@@ -53,6 +53,17 @@ func TestFaultConfigValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownEngineIsConfigError: an engine selector RunCtx does not know
+// fails the run as a structured config error before any rank starts.
+func TestUnknownEngineIsConfigError(t *testing.T) {
+	cfg := Config{Cluster: machine.NewSingleNode(machine.Altix3700), Procs: 2}
+	_, err := RunCtx(WithEngine(context.Background(), "bogus"), cfg, func(par.Comm) {})
+	var re *RunError
+	if !errors.As(err, &re) || re.Kind != ErrConfig || !strings.Contains(re.Error(), `unknown engine "bogus"`) {
+		t.Errorf("RunCtx under engine %q = %v, want an ErrConfig naming the engine", "bogus", err)
+	}
+}
+
 // TestFaultDeadlockEnumeratesBlockedRanks pins the structured deadlock
 // detector: kind, per-rank blocked detail, and rank order.
 func TestFaultDeadlockEnumeratesBlockedRanks(t *testing.T) {

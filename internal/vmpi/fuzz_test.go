@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -67,10 +68,9 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 	cfg := Config{
 		Cluster:  machine.NewSingleNode(machine.Altix3700),
 		Procs:    procs,
-		Engine:   eng,
 		Sanitize: sanitize,
 	}
-	res, err := TryRun(cfg, fuzzProgram(ops))
+	res, err := RunCtx(WithEngine(context.Background(), eng), cfg, fuzzProgram(ops))
 	if err != nil {
 		return "error: " + err.Error()
 	}

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -33,9 +34,15 @@ func noiseProgram(c par.Comm) {
 // one-ULP divergence between engines or replays is caught.
 func noiseRun(t *testing.T, cfg Config) string {
 	t.Helper()
-	res, err := TryRun(cfg, noiseProgram)
+	return noiseRunCtx(t, context.Background(), cfg)
+}
+
+// noiseRunCtx is noiseRun under ctx, which may select the engine.
+func noiseRunCtx(t *testing.T, ctx context.Context, cfg Config) string {
+	t.Helper()
+	res, err := RunCtx(ctx, cfg, noiseProgram)
 	if err != nil {
-		t.Fatalf("TryRun: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%016x", math.Float64bits(res.Time))
@@ -101,11 +108,10 @@ func TestNoiseEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal := noiseBaseConfig()
-		cal.Noise, cal.Engine = s, EngineCalendar
-		gor := noiseBaseConfig()
-		gor.Noise, gor.Engine = s, EngineGoroutine
-		calRun, gorRun := noiseRun(t, cal), noiseRun(t, gor)
+		cfg := noiseBaseConfig()
+		cfg.Noise = s
+		calRun := noiseRun(t, cfg)
+		gorRun := noiseRunCtx(t, WithEngine(context.Background(), EngineGoroutine), cfg)
 		if calRun != gorRun {
 			t.Errorf("engines disagree under noise %q\n--- calendar ---\n%s\n--- goroutine ---\n%s",
 				spec, calRun, gorRun)

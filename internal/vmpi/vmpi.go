@@ -32,7 +32,9 @@
 //
 // Two engines implement the identical simulation semantics and are
 // guaranteed — by the differential suite in internal/core and the
-// FuzzEngineEquivalence fuzz target — to produce byte-identical results:
+// FuzzEngineEquivalence fuzz target — to produce byte-identical results.
+// RunCtx uses the calendar engine unless its context selects the other
+// with WithEngine:
 //
 //   - EngineCalendar (the default) drives ranks from a pooled event
 //     calendar: an O(log P) min-heap of (time, rank) wake events with lazy
@@ -80,12 +82,32 @@ type Engine string
 const (
 	// EngineCalendar is the event-calendar engine: heap-ordered wake
 	// events, direct rank-to-rank handoff, pooled message storage. The
-	// default (an empty Config.Engine resolves to it).
+	// default.
 	EngineCalendar Engine = "calendar"
 	// EngineGoroutine is the original central-scheduler engine, kept as
 	// the executable specification for differential testing.
 	EngineGoroutine Engine = "goroutine"
 )
+
+type engineCtxKey struct{}
+
+// WithEngine returns a context under which RunCtx simulates on engine e
+// instead of the default EngineCalendar. The engine is deliberately not
+// part of Config: the engines are result-equivalent, so a fingerprint
+// names only what is simulated, and the differential tests select the
+// reference engine per run without touching any cache key.
+func WithEngine(ctx context.Context, e Engine) context.Context {
+	return context.WithValue(ctx, engineCtxKey{}, e)
+}
+
+// engineFrom resolves the engine installed by WithEngine; none (or an
+// empty one) means EngineCalendar.
+func engineFrom(ctx context.Context) Engine {
+	if e, _ := ctx.Value(engineCtxKey{}).(Engine); e != "" {
+		return e
+	}
+	return EngineCalendar
+}
 
 // Config describes one simulated job.
 type Config struct {
@@ -135,12 +157,6 @@ type Config struct {
 	// unsanitized run — but the toggle is fingerprint-visible because
 	// sanitized runs can fail where unsanitized runs succeed.
 	Sanitize bool
-	// Engine selects the execution engine; empty means EngineCalendar.
-	// The two engines are result-equivalent, so the selector enters the
-	// fingerprint only when the non-default engine is chosen: default
-	// fingerprints stay byte-identical to past releases, and an explicit
-	// EngineCalendar shares cache entries with the default.
-	Engine Engine
 }
 
 func (c *Config) placement() *machine.Placement {
@@ -163,14 +179,6 @@ func (c *Config) threads() int {
 		return 1
 	}
 	return c.Threads
-}
-
-// engine resolves the Engine selector: empty means the calendar engine.
-func (c *Config) engine() Engine {
-	if c.Engine == "" {
-		return EngineCalendar
-	}
-	return c.Engine
 }
 
 // RankStats reports the virtual-time breakdown of one rank.
@@ -325,9 +333,10 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 // operation is one), shuts every rank goroutine down cleanly, and returns
 // an ErrCanceled or ErrTimeout RunError. Rank programs that loop without
 // ever touching their Comm cannot be preempted; none of the workloads in
-// this repository do that.
+// this repository do that. The context also carries the run's engine
+// (WithEngine) and scratch arena (WithArena).
 func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) {
-	e, err := newEngine(cfg, arenaFrom(ctx))
+	e, err := newEngine(cfg, engineFrom(ctx), arenaFrom(ctx))
 	if err != nil {
 		return Result{}, err
 	}
@@ -569,18 +578,18 @@ func (e *engine) shutdown() {
 	}
 }
 
-func newEngine(cfg Config, arena *Arena) (e *engine, err error) {
+func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 	if cfg.Cluster == nil {
 		return nil, configErr("Config.Cluster is required")
 	}
 	if cfg.Procs < 1 {
 		return nil, configErr("Config.Procs must be positive, got %d", cfg.Procs)
 	}
-	switch cfg.engine() {
+	switch eng {
 	case EngineCalendar, EngineGoroutine:
 	default:
-		return nil, configErr("unknown Config.Engine %q (want %q or %q)",
-			cfg.Engine, EngineCalendar, EngineGoroutine)
+		return nil, configErr("unknown engine %q (want %q or %q)",
+			eng, EngineCalendar, EngineGoroutine)
 	}
 	// The placement constructors in package machine report impossible
 	// geometries (too few CPUs, invalid node counts, duplicated slots) by
@@ -599,7 +608,7 @@ func newEngine(cfg Config, arena *Arena) (e *engine, err error) {
 		net:        net,
 		place:      cfg.placement(),
 		threads:    cfg.threads(),
-		cal:        cfg.engine() == EngineCalendar,
+		cal:        eng == EngineCalendar,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
 	}

@@ -61,28 +61,15 @@ go test -timeout 10m -run Noise -count=5 \
 echo "== commsan (representative experiments) =="
 go run ./cmd/columbia -commsan run stride fig8 fig7 table5 > /dev/null
 
-# Crash-tolerance smoke: a small sweep on 2 supervised worker processes
-# under a kill-after-every-point chaos schedule must emit bytes identical
-# to the serial run — crashes are restarted and re-dispatched, never
-# visible in stdout. See DESIGN.md §10 and `make chaos`.
-echo "== worker chaos smoke (byte-identity under crashes) =="
-mkdir -p bin
-go build -o bin/columbia ./cmd/columbia
-bin/columbia -faults wkill=1 run stride table1 > bin/chaos_serial.out
-bin/columbia -workers 2 -faults wkill=1 run stride table1 > bin/chaos_workers.out
-cmp bin/chaos_serial.out bin/chaos_workers.out
-rm -f bin/chaos_serial.out bin/chaos_workers.out
-
-# Noise ensemble smoke: one paper table as a 5-replica seeded jitter
-# ensemble, serial vs 2 worker processes — the distribution cells (min/
-# avg/max ±spread) must be byte-identical across process boundaries, and
-# the output must actually contain them.
-echo "== noise ensemble smoke (5 replicas, serial vs workers) =="
-bin/columbia -noise jitter=exp:0.05,seed=12 -replicas 5 run fig7 > bin/noise_serial.out
-bin/columbia -workers 2 -noise jitter=exp:0.05,seed=12 -replicas 5 run fig7 > bin/noise_workers.out
-cmp bin/noise_serial.out bin/noise_workers.out
-grep -q '±' bin/noise_serial.out
-rm -f bin/noise_serial.out bin/noise_workers.out
+# Crash-tolerance and noise-ensemble smokes, owned by the Makefile (see
+# DESIGN.md §10 and §13): a small sweep on 2 supervised worker processes
+# under a kill-after-every-point chaos schedule, and one paper table as a
+# 5-replica seeded jitter ensemble, each byte-compared against the serial
+# run. Crashes are restarted and re-dispatched, never visible in stdout;
+# the distribution cells (min/avg/max ±spread) must survive the process
+# boundary byte-for-byte, and the output must actually contain them.
+echo "== worker chaos and noise ensemble smokes (make chaos noise) =="
+make chaos noise
 
 # -short skips the 2048-rank experiments: their race-instrumented goroutine
 # churn takes tens of minutes on small hosts while exercising the exact same
