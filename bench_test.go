@@ -11,6 +11,7 @@ package columbia
 // called out in DESIGN.md.
 
 import (
+	"context"
 	"testing"
 
 	"columbia/internal/core"
@@ -208,6 +209,30 @@ func BenchmarkEngine2048Ranks(b *testing.B) {
 	w := md.PaperWeakScaling()
 	for i := 0; i < b.N; i++ {
 		vmpi.Run(vmpi.Config{Cluster: cl, Procs: 2048, Nodes: 4}, w.Skeleton(2048))
+	}
+}
+
+// BenchmarkEngineMixedScales replays the sweep's mix of scales on one
+// worker arena: one 512-rank all-to-all, then 100 small 32-rank
+// allreduce+allgather runs. The single-configuration engine benchmarks
+// above never see what one run leaves in the scratch for the next; this
+// one times the small runs after a big one.
+func BenchmarkEngineMixedScales(b *testing.B) {
+	cl := machine.NewSingleNode(machine.AltixBX2b)
+	ctx := vmpi.WithArena(context.Background(), vmpi.NewArena())
+	run := func(procs int, fn func(par.Comm)) {
+		if _, err := vmpi.RunCtx(ctx, vmpi.Config{Cluster: cl, Procs: procs}, fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		run(512, func(c par.Comm) { par.AlltoallBytes(c, 4096) })
+		for j := 0; j < 100; j++ {
+			run(32, func(c par.Comm) {
+				par.AllreduceBytes(c, 1024)
+				par.AllgatherBytes(c, 1024)
+			})
+		}
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 // The sweep scheduler and the engine's scratch recycling meet here: every
 // pool gets one vmpi.Arena per worker slot, installed into the context each
 // leaf attempt runs under, so the engines a leaf starts (vmpi.RunCtx) draw
-// their rank records, mailboxes and slabs from the slot's private arena.
-// Combined with the pool's family-affine slot scheduling, each worker's
-// arena stays shaped by the workload family it keeps re-running — small,
-// hot mail maps instead of one union-of-everything scratch — which is what
-// makes `columbia all -j N` scale (and on a single CPU still edge out -j 1;
-// see DESIGN.md).
+// their rank records, mailbox storage and slabs from the slot's private
+// arena. Mailboxes themselves live for one run; what a slot's arena keeps
+// is storage already grown to the leaves it runs, so a worker neither
+// rebuilds it nor contends for the shared scratch pool (see DESIGN.md §9).
 func init() {
 	sweep.RegisterWorkerContext(func(workers int) sweep.WorkerContext {
 		arenas := make([]*vmpi.Arena, workers)
@@ -27,14 +25,13 @@ func init() {
 			return vmpi.WithArena(ctx, arenas[slot])
 		}
 	})
-	// Affinity classes group leaves by rank count, not workload family: a
-	// simulation's engine working set — which (source, tag) mailboxes its
-	// collectives create, how many rank records it touches — is determined
-	// by how many ranks it runs, and is largely shared between different
-	// workloads at the same scale. Keying affinity on the fingerprint's
-	// |p=N| field sends every 2048-rank leaf to one slot and every 64-rank
-	// leaf to another, so each arena accumulates one scale's mailbox
-	// universe instead of all of them.
+	// Affinity classes group leaves by rank count, not workload family: how
+	// many ranks a simulation runs sizes its engine scratch — rank records,
+	// and the mailbox and index storage its collectives fill — and is
+	// largely shared between different workloads at the same scale. Keying
+	// affinity on the fingerprint's |p=N| field sends every 2048-rank leaf
+	// to one slot and every 64-rank leaf to another, so same-scale leaves
+	// run back to back on storage already grown for them.
 	sweep.RegisterAffinity(func(key string) string {
 		if i := strings.Index(key, "|p="); i >= 0 {
 			j := i + 1

@@ -27,8 +27,8 @@ type realJob struct {
 	size  int
 	clock Clock
 	start time.Time
-	// mailboxes[src*size+dst][tag] is the channel for (src,dst,tag)
-	// traffic. Channels are created lazily under mu.
+	// mailboxes maps a (src, dst, tag) triple to its traffic channel.
+	// Channels are created lazily under mu.
 	mu        sync.Mutex
 	mailboxes map[mailKey]chan realMsg
 	barrier   *cyclicBarrier

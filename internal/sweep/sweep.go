@@ -157,10 +157,9 @@ var affinityClass atomic.Pointer[func(key string) string]
 // RegisterAffinity installs the function that names a key's scheduling
 // class for slot affinity. The default — the key's workload-family prefix
 // — groups leaves that share models; a sharper classifier (core registers
-// one keying on the configuration's rank count, which is what actually
-// determines a simulation's mailbox universe) groups leaves that share
-// engine working sets, so each worker slot's arenas stay small and
-// cache-resident.
+// one keying on the configuration's rank count, which sizes a simulation's
+// engine scratch) groups leaves whose worker-scoped storage is alike, so
+// each slot keeps reusing storage grown to the same scale.
 func RegisterAffinity(class func(key string) string) {
 	affinityClass.Store(&class)
 }
@@ -175,10 +174,10 @@ func RegisterAffinity(class func(key string) string) {
 // nothing but cache thrash — eight half-resident engine working sets
 // interleaving on one core — so width clamps true concurrency to the
 // hardware while the extra lanes still partition the sweep: each lane's
-// arenas hold one scheduling class's working set (one rank-count's mailbox
-// universe) instead of the union of everything, and the release handoff
-// below runs same-class leaves back to back on their warm lane. That
-// partitioning and batching is how -j 8 beats -j 1 even on a single CPU.
+// storage is grown by one scheduling class (one rank count), and the
+// release handoff below runs same-class leaves back to back on their warm
+// lane. Engine mailboxes no longer outlive a run, and with that -j 8 has
+// stopped beating -j 1 on a single CPU (DESIGN.md §9 has the numbers).
 //
 // Acquisition is affinity-aware: a leaf asks for the lane its scheduling
 // class hashes to, and spills to another free lane rather than queueing

@@ -15,7 +15,7 @@ import (
 //
 // All measurements use the delta technique: run the same program with K
 // and 2K operations and attribute the difference to the extra K. Fixed
-// per-run costs — rank goroutines, the mailbox map, result assembly —
+// per-run costs — rank goroutines, the mailbox index, result assembly —
 // appear in both runs and cancel, leaving the marginal per-operation rate.
 //
 // Budgets (measured on the seed implementation):

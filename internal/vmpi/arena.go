@@ -6,19 +6,18 @@ import (
 )
 
 // Arena is a worker-private allocation domain for engine runs. A run
-// started under WithArena draws its scratch state — rank records,
-// mailboxes, message free list, calendar, occupancy clocks and the mailbox
-// and payload slabs — from the arena instead of the process-wide scratch
-// pool, and a clean completion hands the scratch back to the same arena.
+// started under WithArena draws its scratch state — rank records, mailbox
+// and index storage, message free list, calendar, occupancy clocks and the
+// payload slab — from the arena instead of the process-wide scratch pool,
+// and a clean completion hands the scratch back to the same arena.
 //
-// The point is working-set partitioning: a sweep worker that owns an arena
-// and keeps being handed leaves of the same workload family (the sweep's
-// slot affinity does exactly that) re-runs similar simulations on scratch
-// state shaped by that family alone. Its rank mail maps hold one family's
-// (source, tag) universe instead of every family's, which keeps lookups on
-// the engine's hottest path inside a small, cache-resident table — the
-// mechanism that lets eight sweep workers beat one even on a single CPU,
-// where raw parallelism buys nothing.
+// What carries over is storage, never simulation state: a run's mailboxes
+// are retired when the next run acquires the scratch (see mailIndex), so a
+// lookup costs the same whatever the arena ran before. What an arena buys
+// is that a sweep worker re-runs on storage already grown to its
+// workloads' size without taking the shared pool's lock or touching
+// another worker's cache lines; the sweep's rank-count affinity sends it
+// leaves of one scale (DESIGN.md §9).
 //
 // An arena holds at most one scratch; it is meant to back one worker slot,
 // which runs one leaf at a time. Concurrent runs under the same arena are

@@ -3,8 +3,8 @@ package vmpi
 import "columbia/internal/vmpi/calendar"
 
 // engineScratch is the allocation-heavy state of one engine run — rank
-// records (with their goroutine-parking channels, mailbox maps and mailbox
-// storage), the pooled message free list, the event calendar and the
+// records with their goroutine-parking channels, the run's mailboxes and
+// their index, the pooled message free list, the event calendar and the
 // per-node occupancy clocks. A fresh engine used to rebuild all of it per
 // run, which put ~2M short-lived objects per sweep point on the GC; now a
 // completed run resets and recycles its scratch instead, so a steady-state
@@ -19,9 +19,13 @@ import "columbia/internal/vmpi/calendar"
 // provably quiescent.
 type engineScratch struct {
 	// ranks grows monotonically; a run slices off the prefix it needs, so
-	// the resume channels, mail maps and mailbox queues of past runs stay
-	// warm. Rank ids equal indices and never change.
+	// the resume channels of past runs stay warm. Rank ids equal indices
+	// and never change.
 	ranks []*rankState
+	// mail holds this run's mailboxes. Only their storage outlives the
+	// run: acquireScratch empties the set, so a run never sees, probes or
+	// drains another run's (source, tag) queues.
+	mail mailIndex
 	// msgs pools message structs across runs as well as within one.
 	msgs calendar.FreeList[message]
 	// heap is the event calendar; Reset keeps its storage.
@@ -30,47 +34,155 @@ type engineScratch struct {
 	// re-zeroed (and regrown if the cluster is bigger) per run.
 	linkBusy   []float64
 	fabricBusy []float64
-	// Mailbox and payload arenas. A big run creates hundreds of thousands
-	// of (source, tag) mailboxes and payload copies, and each private
-	// worker scratch pays that bill again — carving them from chunked
-	// slabs turns three allocations per mailbox (struct, first-push
-	// backing, payload copy) into a handful per chunk. qslab and pslab are
-	// the uncarved tails of the current mailbox-struct and seed-backing
-	// chunks; fslab is the uncarved tail of the payload chunk. Carved
-	// regions are owned by their mailbox or receiving program and are
-	// never reclaimed by the arena, so only the tails are reused across
-	// runs.
-	qslab []msgq
-	pslab []*message
+	// fslab is the uncarved tail of the payload chunk: a big run copies
+	// hundreds of thousands of payloads, and carving them from chunks
+	// turns one allocation per copy into one per chunk. Carved regions are
+	// owned by the receiving program and never reclaimed, so only the tail
+	// is reused across runs.
 	fslab []float64
 }
 
+// fslabChunk is the payload slab refill size in float64s.
+const fslabChunk = 4096
+
+// mailKey names one mailbox exactly: receiving rank, sending rank and the
+// full-width tag. dst and src are validated to [0, Procs) before any
+// lookup, and Procs fits in int32 because calendar events carry rank ids
+// as int32 too.
+type mailKey struct {
+	dst, src int32
+	tag      int
+}
+
+// hash mixes all 128 key bits (a splitmix64 finalizer); the index masks
+// the low bits, so they must depend on every input bit.
+func (k mailKey) hash() uint64 {
+	z := (uint64(uint32(k.dst))<<32 | uint64(uint32(k.src))) ^ uint64(k.tag)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// mailbox is one (source, tag) queue of a receiving rank.
+type mailbox struct {
+	key mailKey
+	q   msgq
+}
+
+// mailSlot is one open-addressing slot of a mailIndex. A slot whose gen is
+// not the index's current generation is empty, whatever else it holds.
+type mailSlot struct {
+	key mailKey
+	gen uint32
+	box int32
+}
+
 const (
-	// qslabChunk is how many mailbox structs (and their seed windows) are
-	// allocated per slab refill.
-	qslabChunk = 128
+	// mailSlotsMin is the table size a run starts from; the index doubles
+	// it whenever the run's mailboxes would fill more than half of it.
+	mailSlotsMin = 64
 	// msgqSeed is the per-mailbox backing window: most mailboxes never
 	// hold more than a couple of in-flight messages, and one that does
 	// simply grows out of the window via append.
 	msgqSeed = 2
-	// fslabChunk is the payload slab refill size in float64s.
-	fslabChunk = 4096
 )
 
-// newMsgq carves a fresh mailbox from the scratch's arena and seeds it
-// with a msgqSeed-capacity backing window so its first pushes are free.
-func (s *engineScratch) newMsgq() *msgq {
-	if len(s.qslab) == 0 {
-		s.qslab = make([]msgq, qslabChunk)
+// mailIndex is the set of one run's mailboxes: boxes in creation order,
+// and a linear-probing hash index from exact keys to positions in boxes.
+// reset empties both in O(1) — boxes is resliced to zero, and bumping the
+// generation stamp retires every slot — while their storage stays: the
+// next run reuses the elements and queue buffers past len(boxes) and the
+// slot array. Growth moves boxes, so no *msgq may be held across open.
+type mailIndex struct {
+	boxes []mailbox
+	slots []mailSlot
+	mask  uint64 // table size in use minus one; at most len(slots)-1
+	gen   uint32 // current generation; never 0, the zero slot's stamp
+}
+
+// reset retires every mailbox of the previous run.
+func (x *mailIndex) reset() {
+	x.boxes = x.boxes[:0]
+	x.resize(mailSlotsMin)
+}
+
+// resize switches to a table of n slots (a power of two), allocating only
+// when n exceeds the storage, and re-indexes the current boxes under a new
+// generation. A wrapped generation counter clears the storage, so a slot
+// stamped 2^32 generations ago cannot come back to life.
+func (x *mailIndex) resize(n int) {
+	if n > len(x.slots) {
+		x.slots = make([]mailSlot, n)
 	}
-	q := &s.qslab[0]
-	s.qslab = s.qslab[1:]
-	if len(s.pslab) < msgqSeed {
-		s.pslab = make([]*message, qslabChunk*msgqSeed)
+	x.mask = uint64(n - 1)
+	x.gen++
+	if x.gen == 0 {
+		clear(x.slots)
+		x.gen = 1
 	}
-	q.Reserve(s.pslab[:0:msgqSeed])
-	s.pslab = s.pslab[msgqSeed:]
-	return q
+	for i := range x.boxes {
+		k := x.boxes[i].key
+		x.slots[x.find(k)] = mailSlot{key: k, gen: x.gen, box: int32(i)}
+	}
+}
+
+// find returns the slot holding k, or the empty slot where k belongs.
+func (x *mailIndex) find(k mailKey) uint64 {
+	i := k.hash() & x.mask
+	for {
+		if s := &x.slots[i]; s.gen != x.gen || s.key == k {
+			return i
+		}
+		i = (i + 1) & x.mask
+	}
+}
+
+// lookup returns the queue for (dst, src, tag), or nil when this run has
+// not created it.
+func (x *mailIndex) lookup(dst, src, tag int) *msgq {
+	s := &x.slots[x.find(mailKey{int32(dst), int32(src), tag})]
+	if s.gen != x.gen {
+		return nil
+	}
+	return &x.boxes[s.box].q
+}
+
+// open returns the queue for (dst, src, tag), creating an empty one on
+// first use. A new box reuses the storage a previous run left at that
+// position, drained by its recycle.
+func (x *mailIndex) open(dst, src, tag int) *msgq {
+	k := mailKey{int32(dst), int32(src), tag}
+	i := x.find(k)
+	if s := &x.slots[i]; s.gen == x.gen {
+		return &x.boxes[s.box].q
+	}
+	n := len(x.boxes)
+	if uint64(2*(n+1)) > x.mask+1 {
+		x.resize(2 * int(x.mask+1))
+		i = x.find(k)
+	}
+	x.slots[i] = mailSlot{key: k, gen: x.gen, box: int32(n)}
+	if n == cap(x.boxes) {
+		x.growBoxes()
+	}
+	x.boxes = x.boxes[:n+1]
+	b := &x.boxes[n]
+	b.key = k
+	return &b.q
+}
+
+// growBoxes doubles the box storage and seeds each new box's queue with a
+// msgqSeed-message window of one shared chunk, so a box's first pushes do
+// not each allocate.
+func (x *mailIndex) growBoxes() {
+	boxes := make([]mailbox, len(x.boxes), max(2*cap(x.boxes), mailSlotsMin/2))
+	copy(boxes, x.boxes)
+	spare := boxes[len(boxes):cap(boxes)]
+	seed := make([]*message, len(spare)*msgqSeed)
+	for i := range spare {
+		spare[i].q.Reserve(seed[i*msgqSeed : i*msgqSeed : (i+1)*msgqSeed])
+	}
+	x.boxes = boxes
 }
 
 // copyPayload copies a send's payload into a region carved from the float
@@ -102,7 +214,8 @@ var scratchPool calendar.SharedPool[engineScratch]
 // acquireScratch draws a scratch — from the run's arena when it has one,
 // else the process-wide pool — and readies it for a run of procs ranks on
 // a cluster of nodes boxes. Missing rank records are created; existing ones
-// are reset but keep their mailbox storage and parking channel.
+// are reset but keep their parking channel. The previous run's mailboxes
+// are retired in O(1), whatever its size; only their storage carries over.
 //
 // The scratch pool owns the per-rank records; growing them here is how reuse amortizes them.
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -114,12 +227,12 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 		s.ranks = append(s.ranks, &rankState{
 			id:     len(s.ranks),
 			resume: make(chan struct{}),
-			mail:   make(map[mailKey]*msgq),
 		})
 	}
 	for _, r := range s.ranks[:procs] {
 		r.reset()
 	}
+	s.mail.reset()
 	s.heap.Reset()
 	s.linkBusy = resetFloats(s.linkBusy, nodes)
 	s.fabricBusy = resetFloats(s.fabricBusy, nodes)
@@ -129,37 +242,36 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 // recycle drains the run's leftover state back into the scratch and returns
 // it to the pool. Only called after a clean completion, when every rank
 // goroutine has exited: unmatched messages may legally remain queued (the
-// sanitizer is what forbids them, and it fails the run instead), so each
-// rank's mailboxes are emptied through its boxes list — never by ranging
-// the mail map — and the structs go back to the free list with payloads
-// dropped, so no stale data can leak into a later run.
+// sanitizer is what forbids them, and it fails the run instead), so the
+// mailboxes this run created — and only those — are emptied in creation
+// order, and the structs go back to the free list with payloads dropped,
+// so no stale data can leak into a later run.
 func (e *engine) recycle() {
 	s := e.scr
 	if s == nil {
 		return
 	}
 	e.scr = nil
-	for _, r := range e.ranks {
-		for _, q := range r.boxes {
-			for q.Len() > 0 {
-				m := q.Pop()
-				m.data = nil
-				s.msgs.Put(m)
-			}
+	for i := range s.mail.boxes {
+		q := &s.mail.boxes[i].q
+		for q.Len() > 0 {
+			m := q.Pop()
+			m.data = nil
+			s.msgs.Put(m)
 		}
-		r.recvResult = nil
 	}
 	// Scratches go home: an arena-backed run refills its own arena so the
-	// worker's next leaf reuses the same family-shaped state, and only
-	// arena-less (or surplus concurrent) runs feed the process-wide pool.
+	// worker's next leaf reuses storage already grown to its workloads, and
+	// only arena-less (or surplus concurrent) runs feed the process-wide
+	// pool.
 	if !e.arena.put(s) {
 		scratchPool.Put(s)
 	}
 }
 
-// reset readies a pooled rank record for its next run. mail and boxes are
-// deliberately kept: mailboxes were drained by recycle, and reusing them is
-// most of the win. id and resume are immutable across runs.
+// reset readies a pooled rank record for its next run. id and resume are
+// immutable across runs; the record holds no mailboxes — those belong to
+// the run (engineScratch.mail).
 func (r *rankState) reset() {
 	r.now = 0
 	r.compute = 0

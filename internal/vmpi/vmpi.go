@@ -41,11 +41,16 @@
 //     invalidation, direct goroutine-to-goroutine handoff (the yielding
 //     rank resumes the next one itself — one channel operation per switch,
 //     zero when the yielder is still the earliest), and free-listed
-//     message/mailbox storage so the hot send/recv path does not allocate.
+//     message storage so the hot send/recv path does not allocate.
 //   - EngineGoroutine is the original scheduler: a central loop that scans
 //     every rank for the smallest clock and round-trips two channel
 //     handoffs per scheduling step. It is kept as the executable
 //     specification the calendar engine is differentially tested against.
+//
+// Both engines keep mailboxes the same way: each run has its own set of
+// (destination, source, tag) queues behind one open-addressed index in the
+// run's scratch (mailIndex), retired wholesale when the next run starts,
+// so a lookup never probes another run's keys.
 //
 // See DESIGN.md §8 for the equivalence contract.
 package vmpi
@@ -213,8 +218,6 @@ const (
 	stDone
 )
 
-type mailKey struct{ src, tag int }
-
 type message struct {
 	src, tag int
 	bytes    float64
@@ -224,10 +227,9 @@ type message struct {
 	sid int
 }
 
-// msgq is one mailbox: a FIFO of messages for a (source, tag) pair. Empty
-// mailboxes stay in the mail map so their storage is reused — the par
-// collectives draw tags from bounded per-collective blocks, so the key
-// space of a run is bounded and the steady state allocates nothing.
+// msgq is one mailbox: a FIFO of messages for a (source, tag) pair of one
+// receiving rank. A mailbox lives for one run (see mailIndex); a drained
+// queue keeps its buffer for the next message, and the next run reuses it.
 type msgq = calendar.Queue[*message]
 
 type rankState struct {
@@ -237,7 +239,6 @@ type rankState struct {
 	comm    float64
 	status  status
 	resume  chan struct{}
-	mail    map[mailKey]*msgq
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
@@ -247,10 +248,6 @@ type rankState struct {
 	// new queue-head message updates the wake event in O(1).
 	seq     uint32
 	anyWake float64
-	// boxes lists every mailbox ever created for this rank, in creation
-	// order — the deterministic iteration recycle uses to drain leftover
-	// messages without ranging the mail map.
-	boxes []*msgq
 }
 
 type engine struct {
@@ -725,7 +722,7 @@ func (e *engine) earliestAny(r *rankState) (float64, bool) {
 	arr := math.Inf(1)
 	found := false
 	for s := 0; s < len(e.ranks); s++ {
-		if q := r.mail[mailKey{s, r.wantTag}]; q != nil && q.Len() > 0 && q.Peek().arrival < arr {
+		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil && q.Len() > 0 && q.Peek().arrival < arr {
 			arr = q.Peek().arrival
 			found = true
 		}
@@ -738,7 +735,7 @@ func (e *engine) earliestAny(r *rankState) (float64, bool) {
 func (e *engine) anyCandidates(r *rankState) []int {
 	var ids []int
 	for s := 0; s < len(e.ranks); s++ {
-		if q := r.mail[mailKey{s, r.wantTag}]; q != nil && q.Len() > 0 {
+		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil && q.Len() > 0 {
 			ids = append(ids, q.Peek().sid)
 		}
 	}
@@ -987,13 +984,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 		m.sid = e.san.Send(r.id, dst, tag, bytes, start)
 	}
 	d := e.ranks[dst]
-	k := mailKey{r.id, tag}
-	q := d.mail[k]
-	if q == nil {
-		q = e.scr.newMsgq()
-		d.mail[k] = q
-		d.boxes = append(d.boxes, q)
-	}
+	q := e.scr.mail.open(dst, r.id, tag)
 	newHead := q.Len() == 0
 	q.Push(m)
 	// Only directed receivers wake eagerly; wildcard receives stay parked
@@ -1027,7 +1018,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 // determinism.
 func (e *engine) match(r *rankState, src, tag int) *message {
 	if src != AnySource {
-		q := r.mail[mailKey{src, tag}]
+		q := e.scr.mail.lookup(r.id, src, tag)
 		if q == nil || q.Len() == 0 {
 			return nil
 		}
@@ -1040,7 +1031,7 @@ func (e *engine) match(r *rankState, src, tag int) *message {
 	bestSrc := -1
 	bestArr := math.Inf(1)
 	for s := 0; s < len(e.ranks); s++ {
-		q := r.mail[mailKey{s, tag}]
+		q := e.scr.mail.lookup(r.id, s, tag)
 		if q != nil && q.Len() > 0 && q.Peek().arrival < bestArr {
 			bestArr = q.Peek().arrival
 			bestSrc = s
