@@ -42,7 +42,10 @@
 // on parallel-beats-serial — the widest parallel sweep must be strictly
 // faster than the serial one, so the contention regression that once made
 // -j 8 slower than -j 1 can never silently return. This gate needs no
-// baseline; it is an absolute property of the current run.
+// baseline; it is an absolute property of the current run. It applies
+// only when SweepParallel ran at GOMAXPROCS >= 2 (a -N suffix on its
+// result line): -j 8 is capped at GOMAXPROCS, so at GOMAXPROCS=1 it runs
+// the serial schedule and the comparison would be a coin toss.
 package main
 
 import (
@@ -98,6 +101,9 @@ type Measure struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran at, read from the -N name
+	// suffix (go test prints none at 1). Only the scaling gate reads it.
+	Procs int `json:"-"`
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -105,8 +111,9 @@ type Measure struct {
 //	BenchmarkEngineAlltoall-8   12   102424883 ns/op   1024 B/op   3 allocs/op
 //
 // The -8 GOMAXPROCS suffix is stripped from the recorded name so baselines
-// taken on hosts with different core counts stay comparable.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// taken on hosts with different core counts stay comparable; it survives
+// as Measure.Procs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 // parseBench extracts benchmark measurements from `go test -bench` output.
 // Repeated names (go test -count > 1) keep the minimum ns/op: the fastest
@@ -121,19 +128,22 @@ func parseBench(r io.Reader) (map[string]Measure, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 		}
 		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
 			continue
 		}
-		meas := Measure{NsPerOp: ns}
-		if m[3] != "" {
-			meas.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
+		meas := Measure{NsPerOp: ns, Procs: 1}
+		if m[2] != "" {
+			meas.Procs, _ = strconv.Atoi(m[2])
 		}
 		if m[4] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
+			meas.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
+		}
+		if m[5] != "" {
+			meas.AllocsPerOp, _ = strconv.ParseFloat(m[5], 64)
 		}
 		out[m[1]] = meas
 	}
@@ -221,21 +231,24 @@ func scalingCurve(ms map[string]Measure) []ScalingPoint {
 }
 
 // scalingGate enforces parallel-beats-serial: when both endpoints of the
-// curve were measured, the widest parallel sweep must be strictly faster
-// than the serial one. Returns "" when the gate passes or does not apply,
-// else a description of the violation.
-func scalingGate(ms map[string]Measure) string {
+// curve were measured and the widest parallel sweep ran at GOMAXPROCS >= 2,
+// it must be strictly faster than the serial one. It returns the violation,
+// if any, and a note when the gate could not be measured.
+func scalingGate(ms map[string]Measure) (violation, note string) {
 	serial, okS := ms[sweepScaling[0].name]
 	last := sweepScaling[len(sweepScaling)-1]
 	par, okP := ms[last.name]
 	if !okS || !okP || serial.NsPerOp <= 0 || par.NsPerOp <= 0 {
-		return ""
+		return "", ""
+	}
+	if par.Procs < 2 {
+		return "", fmt.Sprintf("scaling gate not measurable at GOMAXPROCS=1: -j %d runs the serial schedule", last.workers)
 	}
 	if par.NsPerOp >= serial.NsPerOp {
 		return fmt.Sprintf("%s (%s) is not faster than %s (%s): the -j %d sweep lost its speedup",
-			last.name, secs(par.NsPerOp), sweepScaling[0].name, secs(serial.NsPerOp), last.workers)
+			last.name, secs(par.NsPerOp), sweepScaling[0].name, secs(serial.NsPerOp), last.workers), ""
 	}
-	return ""
+	return "", ""
 }
 
 // printScaling renders the curve for humans.
@@ -390,13 +403,17 @@ func run() error {
 	// The scaling gate needs no baseline: parallel-beats-serial is an
 	// absolute property of this run. Like regressions, a first failure is
 	// only a suspect — both endpoints are re-measured before it sticks.
-	if msg := scalingGate(current); msg != "" && *input == "" {
+	if msg, _ := scalingGate(current); msg != "" && *input == "" {
 		if err := rerunSuspects([]string{sweepScaling[0].name, sweepScaling[len(sweepScaling)-1].name}); err != nil {
 			return err
 		}
 	}
 	printScaling(scalingCurve(current))
-	if msg := scalingGate(current); msg != "" {
+	msg, note := scalingGate(current)
+	if note != "" {
+		fmt.Printf("benchgate: %s\n", note)
+	}
+	if msg != "" {
 		fmt.Printf("  SCALING %s\n", msg)
 		gateFailed = true
 	}

@@ -155,22 +155,44 @@ func TestScalingCurveNeedsSerialAndOneMore(t *testing.T) {
 
 func TestScalingGate(t *testing.T) {
 	pass := map[string]Measure{
-		"BenchmarkSweepSerial":   {NsPerOp: 6e9},
-		"BenchmarkSweepParallel": {NsPerOp: 5e9},
+		"BenchmarkSweepSerial":   {NsPerOp: 6e9, Procs: 2},
+		"BenchmarkSweepParallel": {NsPerOp: 5e9, Procs: 2},
 	}
-	if msg := scalingGate(pass); msg != "" {
+	if msg, _ := scalingGate(pass); msg != "" {
 		t.Errorf("gate fired on a faster parallel sweep: %s", msg)
 	}
 	tie := map[string]Measure{
-		"BenchmarkSweepSerial":   {NsPerOp: 6e9},
-		"BenchmarkSweepParallel": {NsPerOp: 6e9},
+		"BenchmarkSweepSerial":   {NsPerOp: 6e9, Procs: 2},
+		"BenchmarkSweepParallel": {NsPerOp: 6e9, Procs: 2},
 	}
-	if msg := scalingGate(tie); msg == "" {
+	if msg, _ := scalingGate(tie); msg == "" {
 		t.Error("gate passed a parallel sweep that only ties serial (must be strictly faster)")
 	}
 	partial := map[string]Measure{"BenchmarkSweepSerial": {NsPerOp: 6e9}}
-	if msg := scalingGate(partial); msg != "" {
-		t.Errorf("gate fired without both endpoints measured: %s", msg)
+	if msg, note := scalingGate(partial); msg != "" || note != "" {
+		t.Errorf("gate fired without both endpoints measured: %q, %q", msg, note)
+	}
+
+	// The GOMAXPROCS a sweep ran at comes from the result line's -N
+	// suffix; go test prints none at GOMAXPROCS=1, where -j 8 runs the
+	// serial schedule and a tie must not fire.
+	for _, tc := range []struct {
+		suffix string
+		fire   bool
+	}{{"", false}, {"-2", true}} {
+		ms, err := parseBench(strings.NewReader(
+			"BenchmarkSweepSerial" + tc.suffix + "   1   6000000000 ns/op\n" +
+				"BenchmarkSweepParallel" + tc.suffix + "   1   6000000000 ns/op\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, note := scalingGate(ms)
+		if fired := msg != ""; fired != tc.fire {
+			t.Errorf("tie with suffix %q: gate fired = %v, want %v (%q)", tc.suffix, fired, tc.fire, msg)
+		}
+		if unmeasurable := note != ""; unmeasurable == tc.fire {
+			t.Errorf("tie with suffix %q: note %q, want one only at GOMAXPROCS=1", tc.suffix, note)
+		}
 	}
 }
 

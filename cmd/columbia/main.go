@@ -9,7 +9,7 @@
 //	columbia all              run everything in paper order
 //	columbia -csv run <id>    emit CSV instead of aligned tables
 //	columbia -plot run <id>   append ASCII plots to figure tables
-//	columbia -j 8 all         run sweep points on 8 affinity lanes
+//	columbia -j 8 all         run up to 8 sweep points at once (capped at GOMAXPROCS)
 //	columbia -workers 4 all   run sweep points on 4 supervised worker processes
 //
 // Robustness flags (see DESIGN.md, "Fault injection" and "Worker protocol
@@ -176,7 +176,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	var (
 		csvOut     = fs.Bool("csv", false, "emit CSV")
 		plotOut    = fs.Bool("plot", false, "append ASCII plots")
-		jobs       = fs.Int("j", 0, "sweep affinity lanes (0 = GOMAXPROCS); concurrent points are additionally clamped to GOMAXPROCS")
+		jobs       = fs.Int("j", 0, "max concurrent sweep points (0 = GOMAXPROCS); clamped to GOMAXPROCS")
 		workers    = fs.Int("workers", 0, "supervised worker processes for sweep points (0 = in-process); crashes are retried, crash-looping points degrade to !workercrash cells")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget per sweep point (0 = none)")
 		maxRetries = fs.Int("max-retries", 0, "retries for retryable point failures (timeouts, transient faults, worker crashes)")

@@ -76,7 +76,7 @@ func hotFuncs(pkgs []*repoPkg) map[string]*hotCount {
 
 // funcKey derives the budget key of a declaration: the package path, the
 // receiver's base type name for methods, and the function name —
-// "columbia/internal/sweep.slotTable.acquire".
+// "columbia/internal/sweep.Pool.evict".
 func funcKey(pkgPath string, fd *ast.FuncDecl) string {
 	if fd.Recv != nil && len(fd.Recv.List) > 0 {
 		t := fd.Recv.List[0].Type
@@ -102,8 +102,8 @@ func funcKey(pkgPath string, fd *ast.FuncDecl) string {
 
 // escapeLine matches one gc escape diagnostic, e.g.
 //
-//	internal/sweep/sweep.go:239:7: &slotWaiter{...} escapes to heap
-//	internal/sweep/sweep.go:241:2: moved to heap: w
+//	internal/sweep/sweep.go:145:7: &Pool{...} escapes to heap
+//	internal/dist/proto.go:169:6: moved to heap: hdr
 var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (?:.* escapes to heap|moved to heap: .*)$`)
 
 // compilerCounts builds each package holding a hot function with

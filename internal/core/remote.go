@@ -22,7 +22,9 @@ import (
 // Dispatcher routes one sweep point to an out-of-process worker fleet and
 // returns its serialized result. *dist.Supervisor satisfies it; core keeps
 // only this interface so the experiment layer stays process-architecture
-// agnostic (and import-cycle free).
+// agnostic (and import-cycle free). submitReplica passes the point's cache
+// key as class; the fleet routes nothing by it, and it stays in the
+// signature only because colbench's traced dispatchers implement it.
 type Dispatcher interface {
 	Do(ctx context.Context, class, kind, key string, spec []byte) ([]byte, error)
 }
@@ -254,9 +256,8 @@ func submitPoint[T any](spec PointSpec) Ens[T] {
 
 // submitReplica submits one replica to the sweep: through the installed
 // dispatcher when the run is distributed, in-process otherwise. Both paths
-// share buildPoint, so the cache key — and with it memoization, affinity
-// class and report output — is identical regardless of where the point
-// executes.
+// share buildPoint, so the cache key — and with it memoization and report
+// output — is identical regardless of where the point executes.
 func submitReplica[T any](spec PointSpec) sweep.Future[T] {
 	key, run, err := buildPoint(spec)
 	if err != nil {
@@ -274,7 +275,7 @@ func submitReplica[T any](spec PointSpec) sweep.Future[T] {
 			if err != nil {
 				return zero, err
 			}
-			data, err := d.Do(ctx, sweep.ClassOf(key), spec.Kind, key, raw)
+			data, err := d.Do(ctx, key, spec.Kind, key, raw)
 			if err != nil {
 				return zero, err
 			}

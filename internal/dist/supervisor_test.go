@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,8 +78,8 @@ func newTestSupervisor(t *testing.T, cfg Config) *Supervisor {
 	return s
 }
 
-// TestFaultSupervisorRoundTrip: a healthy fleet computes points routed by
-// class with zero failure-handling activity.
+// TestFaultSupervisorRoundTrip: a healthy fleet computes points with zero
+// failure-handling activity.
 func TestFaultSupervisorRoundTrip(t *testing.T) {
 	var spawns atomic.Int64
 	s := newTestSupervisor(t, Config{
@@ -102,6 +103,41 @@ func TestFaultSupervisorRoundTrip(t *testing.T) {
 	}
 	if n := spawns.Load(); n < 1 || n > 2 {
 		t.Errorf("spawns = %d, want 1..2 (lazy, at most one per lane)", n)
+	}
+}
+
+// TestSupervisorSharedQueue: any idle worker takes the next point. A point
+// held inside one worker must not delay a second point of the same class,
+// which the other worker serves while the first is still held.
+func TestSupervisorSharedQueue(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	holdSetup := func(Hello) (Executor, error) {
+		return func(_ context.Context, _, key string, _ []byte) ([]byte, error) {
+			if key == "fam/held" {
+				close(started)
+				<-release
+			}
+			return []byte(key), nil
+		}, nil
+	}
+	s := newTestSupervisor(t, Config{Workers: 2, Spawn: pipeSpawn(holdSetup, nil, nil)})
+	t.Cleanup(free)
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.Do(context.Background(), "p=1", "echo", "fam/held", nil)
+		held <- err
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := s.Do(ctx, "p=1", "echo", "fam/free", nil)
+	if err != nil || string(got) != "fam/free" {
+		t.Fatalf("same-class Do while another point is held = %q, %v; want it served by the idle worker", got, err)
+	}
+	free()
+	if err := <-held; err != nil {
+		t.Errorf("held point: %v", err)
 	}
 }
 

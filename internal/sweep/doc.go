@@ -27,8 +27,9 @@
 // Two scheduling levels exist. Go runs coordination work — a whole
 // experiment assembling its tables — on an ordinary goroutine with no
 // admission control, because such work spends its time waiting on pooled
-// points and must not occupy a worker slot (a slot-holding waiter could
-// deadlock a one-worker pool). Cached admits the leaf simulations
-// themselves, at most Workers at a time. Leaf functions must not wait on
-// other futures.
+// points and must not hold one of the pool's tokens (a token-holding
+// waiter could deadlock a one-worker pool). Cached admits the leaf
+// simulations themselves through a counting semaphore: at most
+// min(Workers, GOMAXPROCS) run at a time, and waiting leaves are admitted
+// in arrival order. Leaf functions must not wait on other futures.
 package sweep

@@ -157,8 +157,8 @@ func TestFaultPoolCancellationDrainsQueue(t *testing.T) {
 		<-release
 		return 0, c.Err() // observes cancellation like vmpi.RunCtx would
 	})
-	// Queue the rest only once "running" holds the single lane: leaves
-	// race for it, so a queued point submitted earlier could win the lane
+	// Queue the rest only once "running" holds the single token: leaves
+	// race for it, so a queued point submitted earlier could win the token
 	// and run before cancel().
 	<-started
 	var ran atomic.Int32

@@ -8,33 +8,11 @@ import (
 	"time"
 )
 
-// TestClassOf pins the public classifier the dist supervisor routes by:
-// registered affinity wins, an abstaining classifier and an empty registry
-// both fall back to the key's family prefix.
-func TestClassOf(t *testing.T) {
-	restoreRegistries(t)
-	if c := ClassOf("mz/bt-mz/A/p=4"); c != "mz" {
-		t.Errorf("unregistered ClassOf = %q, want family %q", c, "mz")
-	}
-	RegisterAffinity(func(key string) string {
-		if key == "classless/x" {
-			return ""
-		}
-		return "p=16"
-	})
-	if c := ClassOf("npb/mpi/ft/A/whatever"); c != "p=16" {
-		t.Errorf("registered ClassOf = %q, want %q", c, "p=16")
-	}
-	if c := ClassOf("classless/x"); c != "classless" {
-		t.Errorf("abstaining ClassOf = %q, want family fallback %q", c, "classless")
-	}
-}
-
-// TestCachedRemoteHoldsNoSlot: remote points bypass the slot table — on a
-// Workers:1 pool, several remote points run concurrently (each is only a
-// dispatch waiting on a worker process, not a local computation), where
-// slot-bound points would serialize. The test would deadlock if remote
-// submissions held slots: every fn blocks until all have started.
+// TestCachedRemoteHoldsNoSlot: remote points bypass the concurrency cap —
+// on a Workers:1 pool, several remote points run concurrently (each is
+// only a dispatch waiting on a worker process, not a local computation),
+// where capped points would serialize. The test would deadlock if remote
+// submissions took tokens: every fn blocks until all have started.
 func TestCachedRemoteHoldsNoSlot(t *testing.T) {
 	p := NewPool(1)
 	const n = 4
@@ -159,7 +137,7 @@ func TestCachedRemoteMemoizesAndConvertsPanics(t *testing.T) {
 	}
 }
 
-// TestStatsCountsLocalRetries: the retry counter covers the slot-bound path
+// TestStatsCountsLocalRetries: the retry counter covers the capped path
 // too, so the CLI's failure summary reflects every resubmission.
 func TestStatsCountsLocalRetries(t *testing.T) {
 	p := NewPoolOpts(context.Background(), Options{Workers: 1, MaxRetries: 2})

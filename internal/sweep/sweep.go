@@ -16,12 +16,10 @@ import (
 // failures that report themselves retryable (vmpi timeouts, transient
 // faults).
 type Options struct {
-	// Workers is the pool's -j degree: the number of affinity lanes (each
-	// with its own worker-scoped state), and the bound on concurrent leaf
-	// points. True concurrency is additionally clamped to GOMAXPROCS —
-	// extra lanes beyond the core count still partition the sweep by
-	// scheduling class (see slotTable) but never oversubscribe the host.
-	// Values below 1 select GOMAXPROCS.
+	// Workers is the pool's -j degree: the cap on concurrent leaf points.
+	// The cap is additionally clamped to GOMAXPROCS, so a -j above the core
+	// count never oversubscribes the host; Pool.Workers still reports the
+	// configured value. Values below 1 select GOMAXPROCS.
 	Workers int
 	// Timeout is the wall-clock budget for one attempt of one leaf point;
 	// zero means no per-point deadline. Expired attempts surface as a
@@ -76,23 +74,6 @@ func shardIndex(key string) uint32 {
 	return fnv32(key) & (shardCount - 1)
 }
 
-// family extracts the workload-family prefix of a fingerprint key — the
-// segment before the first '/' ("mz", "npb", "beff", ...). Keys are built
-// as <workload prefix>/<configuration fingerprint>, so the family names the
-// simulation's shape: which collectives it drives, which (source, tag)
-// mailboxes its engines create, which models it loads. Slot affinity keys
-// on it (see slotFor).
-//
-//perflint:hot
-func family(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i]
-		}
-	}
-	return key
-}
-
 // Pool bounds how many leaf simulation points run concurrently, memoizes
 // completed points by fingerprint key, and owns the context / timeout /
 // retry policy every leaf runs under. Canceling the pool's context stops
@@ -105,13 +86,11 @@ func family(key string) string {
 // eviction and ResetCache semantics are all per-key and unaffected by the
 // striping.
 type Pool struct {
-	slots slotTable
-	ctx   context.Context
-	opts  Options
-	// wctx, when installed via RegisterWorkerContext, decorates the context
-	// of every leaf attempt with state scoped to the worker slot the leaf
-	// acquired — the hook worker-private engine arenas hang off.
-	wctx WorkerContext
+	// sem caps concurrent leaves: a FIFO counting semaphore holding
+	// min(Workers, GOMAXPROCS) tokens, one per running leaf.
+	sem  chan struct{}
+	ctx  context.Context
+	opts Options
 	// after paces retry backoff; tests swap in a fake to drive the retry
 	// schedule deterministically instead of sleeping.
 	after func(time.Duration) <-chan time.Time
@@ -130,168 +109,6 @@ type Stats struct {
 
 // Stats snapshots the pool's counters; safe concurrently with submissions.
 func (p *Pool) Stats() Stats { return Stats{Retries: p.retries.Load()} }
-
-// WorkerContext decorates the context a leaf attempt runs under with state
-// scoped to its worker slot (0 <= slot < Workers). It is called once per
-// attempt, always with the slot the leaf holds for the attempt's duration,
-// so anything it attaches is exclusive to one running leaf at a time.
-type WorkerContext func(slot int, ctx context.Context) context.Context
-
-// workerContextProvider builds each new pool's WorkerContext; installed at
-// most once, by the package that owns the slot-scoped state (core wires
-// vmpi arenas in). Atomic because pools are created from any goroutine.
-var workerContextProvider atomic.Pointer[func(workers int) WorkerContext]
-
-// RegisterWorkerContext installs the provider consulted by every
-// subsequently created pool: it is called with the pool's worker count and
-// returns the WorkerContext for that pool (nil for none). Existing pools
-// are unaffected.
-func RegisterWorkerContext(provider func(workers int) WorkerContext) {
-	workerContextProvider.Store(&provider)
-}
-
-// affinityClass, when registered, maps a cache key to the scheduling class
-// slot affinity groups by; empty string falls back to the family prefix.
-var affinityClass atomic.Pointer[func(key string) string]
-
-// RegisterAffinity installs the function that names a key's scheduling
-// class for slot affinity. The default — the key's workload-family prefix
-// — groups leaves that share models; a sharper classifier (core registers
-// one keying on the configuration's rank count, which sizes a simulation's
-// engine scratch) groups leaves whose worker-scoped storage is alike, so
-// each slot keeps reusing storage grown to the same scale.
-func RegisterAffinity(class func(key string) string) {
-	affinityClass.Store(&class)
-}
-
-// slotTable hands out the pool's worker slots. A slot is an affinity lane,
-// not a thread: the pool has Workers lanes, each backing its own
-// worker-scoped state (see WorkerContext), while the number of lanes
-// *concurrently held* is separately bounded by width = min(Workers,
-// GOMAXPROCS). The split matters on both ends of the machine spectrum. On
-// a many-core host width equals Workers and lanes are plain worker slots.
-// On a host with fewer cores than -j, running -j leaves at once would buy
-// nothing but cache thrash — eight half-resident engine working sets
-// interleaving on one core — so width clamps true concurrency to the
-// hardware while the extra lanes still partition the sweep: each lane's
-// storage is grown by one scheduling class (one rank count), and the
-// release handoff below runs same-class leaves back to back on their warm
-// lane. Engine mailboxes no longer outlive a run, and with that -j 8 has
-// stopped beating -j 1 on a single CPU (DESIGN.md §9 has the numbers).
-//
-// Acquisition is affinity-aware: a leaf asks for the lane its scheduling
-// class hashes to, and spills to another free lane rather than queueing
-// when its preference is busy — the width bound stays a real concurrency
-// guarantee and a hot class cannot idle the pool.
-type slotTable struct {
-	mu sync.Mutex
-	// width bounds concurrently held lanes; held counts them.
-	width int
-	held  int
-	free  []bool
-	nfree int
-	// waiters is FIFO; release scans it for the first waiter preferring
-	// the freed lane — the class-batching handoff — and falls back to the
-	// head, so affinity wins when possible but no waiter is starved by an
-	// empty-preference steady state.
-	waiters []*slotWaiter
-}
-
-type slotWaiter struct {
-	pref int
-	ch   chan int // buffered(1): release never blocks on handoff
-}
-
-func (t *slotTable) init(lanes, width int) {
-	t.free = make([]bool, lanes)
-	for i := range t.free {
-		t.free[i] = true
-	}
-	t.nfree = lanes
-	t.width = width
-}
-
-// acquire blocks until a lane is granted (preferring pref) or ctx is done.
-// The free-lane fast path allocates nothing; only the contended path builds
-// a waiter (the two budgeted escapes below).
-//
-//perflint:hot
-func (t *slotTable) acquire(ctx context.Context, pref int) (int, error) {
-	t.mu.Lock()
-	// held < width implies a free lane exists (lanes >= width).
-	if t.held < t.width {
-		s := pref
-		if !t.free[s] {
-			for i := range t.free {
-				if t.free[i] {
-					s = i
-					break
-				}
-			}
-		}
-		t.free[s] = false
-		t.nfree--
-		t.held++
-		t.mu.Unlock()
-		return s, nil
-	}
-	w := &slotWaiter{pref: pref, ch: make(chan int, 1)}
-	t.waiters = append(t.waiters, w)
-	t.mu.Unlock()
-	select {
-	case s := <-w.ch:
-		return s, nil
-	case <-ctx.Done():
-		t.mu.Lock()
-		for i, q := range t.waiters {
-			if q == w {
-				t.waiters = append(t.waiters[:i], t.waiters[i+1:]...)
-				t.mu.Unlock()
-				return 0, ctx.Err()
-			}
-		}
-		t.mu.Unlock()
-		// A release raced the cancellation and already granted us a lane;
-		// take it and put it back so the grant is not lost.
-		s := <-w.ch
-		t.release(s)
-		return 0, ctx.Err()
-	}
-}
-
-// release frees a lane. With waiters queued, the width token passes
-// directly: the earliest waiter preferring this lane gets it (running
-// same-class leaves consecutively on warm state), else the head waiter is
-// granted its own preferred lane when that lane is idle, or this one.
-//
-//perflint:hot
-func (t *slotTable) release(s int) {
-	t.mu.Lock()
-	if len(t.waiters) > 0 {
-		idx := 0
-		for i, w := range t.waiters {
-			if w.pref == s {
-				idx = i
-				break
-			}
-		}
-		w := t.waiters[idx]
-		t.waiters = append(t.waiters[:idx], t.waiters[idx+1:]...)
-		g := s
-		if w.pref != s && t.free[w.pref] {
-			g = w.pref
-			t.free[g] = false
-			t.free[s] = true
-		}
-		t.mu.Unlock()
-		w.ch <- g
-		return
-	}
-	t.free[s] = true
-	t.nfree++
-	t.held--
-	t.mu.Unlock()
-}
 
 // entry is one submitted point: a completion signal plus its value, or the
 // structured error (including wrapped panics) it failed with.
@@ -326,17 +143,10 @@ func NewPoolOpts(ctx context.Context, o Options) *Pool {
 		ctx = context.Background()
 	}
 	p := &Pool{
+		sem:   make(chan struct{}, min(o.Workers, runtime.GOMAXPROCS(0))),
 		ctx:   ctx,
 		opts:  o,
 		after: time.After,
-	}
-	width := o.Workers
-	if g := runtime.GOMAXPROCS(0); width > g {
-		width = g
-	}
-	p.slots.init(o.Workers, width)
-	if f := workerContextProvider.Load(); f != nil && *f != nil {
-		p.wctx = (*f)(o.Workers)
 	}
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*entry)
@@ -344,32 +154,9 @@ func NewPoolOpts(ctx context.Context, o Options) *Pool {
 	return p
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return len(p.slots.free) }
-
-// ClassOf names key's scheduling class: the registered affinity
-// classifier's answer (core installs one keying on the configuration's rank
-// count), falling back to the workload-family prefix when no classifier is
-// installed or it abstains. In-process slot affinity and the out-of-process
-// supervisor (package dist) both route by this class, so worker processes
-// partition the sweep exactly as worker slots do.
-func ClassOf(key string) string {
-	if f := affinityClass.Load(); f != nil && *f != nil {
-		if c := (*f)(key); c != "" {
-			return c
-		}
-	}
-	return family(key)
-}
-
-// slotFor hashes a cache key's scheduling class onto a preferred worker
-// slot, so every leaf of one class names the same slot (see slotTable and
-// RegisterAffinity).
-//
-//perflint:hot
-func (p *Pool) slotFor(key string) int {
-	return int(fnv32(ClassOf(key)) % uint32(p.Workers()))
-}
+// Workers returns the pool's configured -j degree (before the GOMAXPROCS
+// clamp).
+func (p *Pool) Workers() int { return p.opts.Workers }
 
 // shard returns the lock stripe holding key.
 //
@@ -533,122 +320,82 @@ func (p *Pool) evict(e *entry) {
 	s.mu.Unlock()
 }
 
-// attempt runs fn once under a fresh per-attempt context — decorated with
-// the acquired slot's worker state, then the per-attempt timeout —
-// converting a panic into a *PanicError with the stack captured here, at
-// the source.
-func (p *Pool) attempt(slot int, key string, fn func(context.Context) (any, error)) (val any, err error) {
-	ctx := p.ctx
-	if p.wctx != nil {
-		ctx = p.wctx(slot, ctx)
-	}
-	if p.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.opts.Timeout)
-		defer cancel()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Key: key, Value: r, Stack: string(debug.Stack())}
-		}
-	}()
-	return fn(ctx)
-}
-
-// runLeaf executes a leaf entry on a worker slot: acquire with family
-// affinity (or bail on pool cancellation), then attempt with bounded
-// doubling-backoff retries for retryable failures — the slot, and with it
-// any worker-scoped state, is held across retries. A final failure is
-// recorded for current waiters and the entry is evicted so resubmission
-// recomputes.
+// runLeaf executes a leaf entry under the pool's concurrency cap: it
+// takes a semaphore token (or bails on pool cancellation), holds it across
+// retries, and runs every attempt under the per-attempt timeout.
 func (p *Pool) runLeaf(e *entry, fn func(context.Context) (any, error)) {
 	go func() {
 		defer close(e.done)
-		slot, err := p.slots.acquire(p.ctx, p.slotFor(e.key))
-		if err != nil {
-			e.err = err
-			p.evict(e)
-			return
+		select {
+		case p.sem <- struct{}{}:
+			defer func() { <-p.sem }()
+		case <-p.ctx.Done():
+			// Queued when the pool was canceled: retry drains the entry
+			// without running it.
 		}
-		defer p.slots.release(slot)
-		// Re-check after acquiring: a cancellation that raced the slot
-		// release must still drain the queue deterministically.
-		if err := p.ctx.Err(); err != nil {
-			e.err = err
-			p.evict(e)
-			return
-		}
-		delay := p.opts.Backoff
-		for attempt := 0; ; attempt++ {
-			val, err := p.attempt(slot, e.key, fn)
-			if err == nil {
-				e.val, e.err = val, nil
-				return
+		p.retry(e, func(ctx context.Context) (any, error) {
+			if p.opts.Timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, p.opts.Timeout)
+				defer cancel()
 			}
-			e.err = err
-			if attempt >= p.opts.MaxRetries || !retryable(err) {
-				break
-			}
-			p.retries.Add(1)
-			select {
-			case <-p.after(delay):
-			case <-p.ctx.Done():
-				e.err = p.ctx.Err()
-				p.evict(e)
-				return
-			}
-			if delay < maxBackoff {
-				delay *= 2
-			}
-		}
-		p.evict(e)
+			return fn(ctx)
+		})
 	}()
 }
 
-// runRemote is runLeaf for out-of-process points: no slot is acquired (the
-// worker fleet owns its own concurrency), no worker-context decoration and
-// no per-attempt timeout are applied (the worker enforces the wall-clock
-// budget; double-budgeting here would turn a worker-side "!timeout" cell
-// into a supervisor-side "!canceled" one). Retry pacing, eviction and panic
-// conversion match the local path.
+// runRemote executes an out-of-process entry: no token is taken and no
+// per-attempt timeout applied. The worker fleet owns its own concurrency
+// and enforces the wall-clock budget; double-budgeting here would turn a
+// worker-side "!timeout" cell into a supervisor-side "!canceled" one.
 func (p *Pool) runRemote(e *entry, fn func(context.Context) (any, error)) {
 	go func() {
 		defer close(e.done)
-		if err := p.ctx.Err(); err != nil {
-			e.err = err
-			p.evict(e)
-			return
-		}
-		delay := p.opts.Backoff
-		for attempt := 0; ; attempt++ {
-			val, err := p.remoteAttempt(e.key, fn)
-			if err == nil {
-				e.val, e.err = val, nil
-				return
-			}
-			e.err = err
-			if attempt >= p.opts.MaxRetries || !retryable(err) {
-				break
-			}
-			p.retries.Add(1)
-			select {
-			case <-p.after(delay):
-			case <-p.ctx.Done():
-				e.err = p.ctx.Err()
-				p.evict(e)
-				return
-			}
-			if delay < maxBackoff {
-				delay *= 2
-			}
-		}
-		p.evict(e)
+		p.retry(e, fn)
 	}()
 }
 
-// remoteAttempt runs fn once under the pool's own context, converting a
-// panic into a *PanicError with the stack captured at the source.
-func (p *Pool) remoteAttempt(key string, fn func(context.Context) (any, error)) (val any, err error) {
+// retry records the outcome of fn in e: attempts under the pool's context
+// with bounded doubling-backoff retries for retryable failures, each
+// attempt's panic converted into a *PanicError. A final failure is recorded
+// for current waiters and the entry is evicted so resubmission recomputes.
+func (p *Pool) retry(e *entry, fn func(context.Context) (any, error)) {
+	// A canceled pool drains its queue deterministically, even when the
+	// cancellation raced a token handoff.
+	if err := p.ctx.Err(); err != nil {
+		e.err = err
+		p.evict(e)
+		return
+	}
+	delay := p.opts.Backoff
+	for n := 0; ; n++ {
+		val, err := p.attempt(e.key, fn)
+		if err == nil {
+			e.val, e.err = val, nil
+			return
+		}
+		e.err = err
+		if n >= p.opts.MaxRetries || !retryable(err) {
+			break
+		}
+		p.retries.Add(1)
+		select {
+		case <-p.after(delay):
+		case <-p.ctx.Done():
+			e.err = p.ctx.Err()
+			p.evict(e)
+			return
+		}
+		if delay < maxBackoff {
+			delay *= 2
+		}
+	}
+	p.evict(e)
+}
+
+// attempt runs fn once under the pool's context, converting a panic into
+// a *PanicError with the stack captured here, at the source.
+func (p *Pool) attempt(key string, fn func(context.Context) (any, error)) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Key: key, Value: r, Stack: string(debug.Stack())}
@@ -660,7 +407,7 @@ func (p *Pool) remoteAttempt(key string, fn func(context.Context) (any, error)) 
 // Go runs fn concurrently on a plain goroutine, outside the worker bound.
 // It exists for coordination tasks — a whole experiment submitting its
 // points and assembling tables — which spend their time waiting on Cached
-// futures and would deadlock a small pool if they held a slot meanwhile.
+// futures and would deadlock a small pool if they held a token meanwhile.
 func Go[T any](p *Pool, fn func() T) Future[T] {
 	e := &entry{done: make(chan struct{})}
 	go func() {
@@ -735,10 +482,10 @@ func CachedCtx[T any](p *Pool, key string, fn func(context.Context) (T, error)) 
 // CachedRemote is CachedCtx for points dispatched to an out-of-process
 // worker fleet (see package dist): memoization under the same key space,
 // retryable-failure resubmission with the pool's backoff schedule, and
-// failed-entry eviction are identical, but the submission holds no worker
-// slot, gets no worker-context decoration, and runs under the pool's
-// context without the per-attempt Timeout — the fleet owns concurrency,
-// worker state and the wall-clock budget. Mixing Cached and CachedRemote
+// failed-entry eviction are identical, but the submission takes no token
+// under the pool's cap and runs under the pool's context without the
+// per-attempt Timeout — the fleet owns concurrency and the wall-clock
+// budget. Mixing Cached and CachedRemote
 // keys in one pool is safe: whichever submission lands first owns the entry.
 //
 //perflint:hot

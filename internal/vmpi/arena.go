@@ -5,24 +5,23 @@ import (
 	"sync"
 )
 
-// Arena is a worker-private allocation domain for engine runs. A run
-// started under WithArena draws its scratch state — rank records, mailbox
-// and index storage, message free list, calendar, occupancy clocks and the
+// Arena is a private allocation domain for engine runs. A run started
+// under WithArena draws its scratch state — rank records, mailbox and
+// index storage, message free list, calendar, occupancy clocks and the
 // payload slab — from the arena instead of the process-wide scratch pool,
 // and a clean completion hands the scratch back to the same arena.
 //
 // What carries over is storage, never simulation state: a run's mailboxes
 // are retired when the next run acquires the scratch (see mailIndex), so a
 // lookup costs the same whatever the arena ran before. What an arena buys
-// is that a sweep worker re-runs on storage already grown to its
-// workloads' size without taking the shared pool's lock or touching
-// another worker's cache lines; the sweep's rank-count affinity sends it
-// leaves of one scale (DESIGN.md §9).
+// is that a caller running one point at a time re-runs on storage it
+// grew itself, without taking the shared pool's lock. Sweep leaves run
+// without one and share the process-wide pool (DESIGN.md §9).
 //
-// An arena holds at most one scratch; it is meant to back one worker slot,
-// which runs one leaf at a time. Concurrent runs under the same arena are
-// safe but pointless: whoever acquires first gets the scratch, everyone
-// else falls through to the process-wide pool.
+// An arena holds at most one scratch; it is meant to back one lane that
+// runs one point at a time. Concurrent runs under the same arena are safe
+// but pointless: whoever acquires first gets the scratch, everyone else
+// falls through to the process-wide pool.
 type Arena struct {
 	mu  sync.Mutex
 	scr *engineScratch
@@ -68,9 +67,9 @@ func (a *Arena) put(s *engineScratch) bool {
 type arenaCtxKey struct{}
 
 // WithArena returns a context under which RunCtx draws engine scratch
-// state from a rather than the process-wide pool. The sweep scheduler
-// installs one arena per worker slot (see sweep.RegisterWorkerContext);
-// direct engine callers normally have no reason to.
+// state from a rather than the process-wide pool. Nothing in the sweep
+// installs one; a caller that runs points on lanes of its own may keep an
+// arena per lane.
 func WithArena(ctx context.Context, a *Arena) context.Context {
 	if a == nil {
 		return ctx

@@ -8,10 +8,10 @@ import "columbia/internal/vmpi/calendar"
 // per-node occupancy clocks. A fresh engine used to rebuild all of it per
 // run, which put ~2M short-lived objects per sweep point on the GC; now a
 // completed run resets and recycles its scratch instead, so a steady-state
-// sweep worker re-runs configurations almost entirely inside warm storage.
+// sweep re-runs configurations almost entirely inside warm storage.
 //
 // Scratches travel through a calendar.SharedPool: a run owns its scratch
-// exclusively from newEngine until recycle, so concurrent sweep workers
+// exclusively from newEngine until recycle, so concurrent sweep leaves
 // each operate on private storage and never bounce cache lines through
 // per-message shared state — the pool's lock is taken twice per run, not
 // per operation. Only clean completions recycle; errored or canceled runs
@@ -208,14 +208,16 @@ func (s *engineScratch) copyPayload(data []float64) []float64 {
 	return buf
 }
 
-// scratchPool recycles engineScratch values across runs and workers.
+// scratchPool recycles engineScratch values across runs and concurrent
+// leaves; every run without an arena draws from it.
 var scratchPool calendar.SharedPool[engineScratch]
 
-// acquireScratch draws a scratch — from the run's arena when it has one,
-// else the process-wide pool — and readies it for a run of procs ranks on
-// a cluster of nodes boxes. Missing rank records are created; existing ones
-// are reset but keep their parking channel. The previous run's mailboxes
-// are retired in O(1), whatever its size; only their storage carries over.
+// acquireScratch draws a scratch — from the run's arena when the caller
+// installed one (WithArena), else the process-wide pool — and readies it
+// for a run of procs ranks on a cluster of nodes boxes. Missing rank
+// records are created; existing ones are reset but keep their parking
+// channel. The previous run's mailboxes are retired in O(1), whatever its
+// size; only their storage carries over.
 //
 // The scratch pool owns the per-rank records; growing them here is how reuse amortizes them.
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -260,9 +262,8 @@ func (e *engine) recycle() {
 			s.msgs.Put(m)
 		}
 	}
-	// Scratches go home: an arena-backed run refills its own arena so the
-	// worker's next leaf reuses storage already grown to its workloads, and
-	// only arena-less (or surplus concurrent) runs feed the process-wide
+	// Scratches go home: an arena-backed run refills its own arena, and
+	// every other run (or a surplus concurrent one) feeds the process-wide
 	// pool.
 	if !e.arena.put(s) {
 		scratchPool.Put(s)

@@ -273,7 +273,7 @@ type engine struct {
 	// san is the communication sanitizer; nil unless Config.Sanitize.
 	san *commsan.Tracker
 	// arena, when non-nil, is where this run's scratch came from and where
-	// recycle returns it (worker-private runs under WithArena).
+	// recycle returns it (runs under WithArena).
 	arena *Arena
 	// runErr records the first rank failure; stopping tells resumed ranks
 	// to unwind via stopToken so shutdown leaks no goroutines.
@@ -655,7 +655,7 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 	}
 	// All error returns are behind us: draw the run's allocation-heavy
 	// state (rank records, mailboxes, message pool, calendar, occupancy
-	// clocks) from the worker's arena or the scratch pool instead of
+	// clocks) from the caller's arena or the scratch pool instead of
 	// rebuilding it.
 	e.arena = arena
 	e.scr = acquireScratch(arena, cfg.Procs, len(cfg.Cluster.Nodes))
