@@ -85,22 +85,28 @@ func runChanLive(pass *analysis.Pass) error {
 	return nil
 }
 
+// chanliveWhat names each kind of blocking operation in a finding.
+var chanliveWhat = [...]string{
+	blockSend:   "blocking channel send",
+	blockRecv:   "blocking channel receive",
+	blockRange:  "range over a channel (a blocking receive per iteration)",
+	blockSelect: "select with no stop case and no default",
+	blockWait:   "blocking Wait call",
+}
+
 // analyzeGoroutineBody solves must-observed over one goroutine body's CFG
-// and reports each blocking operation executing while the fact is false.
+// and reports each blocking operation (blockingOps) executing while the
+// fact is false. A receive from or range over a stop channel is itself an
+// observation, and so is a select with a case that makes one.
 func analyzeGoroutineBody(body *ast.BlockStmt, obs *observer, report func(token.Pos, string)) {
 	g := ir.New(body)
 	reach := g.Reachable()
 	selects := classifySelects(g, obs)
 
 	transfer := func(b *ir.Block, in bool) bool {
-		observed := in
+		observed := in || selects[b].observes
 		for _, n := range b.Nodes {
-			if obs.nodeObserves(n) {
-				observed = true
-			}
-		}
-		if s := selects[b]; s != nil && s.observes {
-			observed = true
+			observed = observed || obs.nodeObserves(n)
 		}
 		return observed
 	}
@@ -113,71 +119,57 @@ func analyzeGoroutineBody(body *ast.BlockStmt, obs *observer, report func(token.
 		Transfer: transfer,
 	})
 
+	ops := blockingOps(obs.info, g)
 	for _, b := range g.Blocks {
 		if !reach[b] {
 			continue
 		}
-		observed := facts.In[b]
-		for i, n := range b.Nodes {
-			comm := b.Kind == "select.case" && i == 0
-			if !observed && !comm {
-				for _, op := range obs.blockingOps(n) {
-					report(op.pos, op.what)
-				}
+		observed, next := facts.In[b], 0
+		for _, op := range ops[b] {
+			for ; next < op.node; next++ {
+				observed = observed || obs.nodeObserves(b.Nodes[next])
 			}
-			if obs.nodeObserves(n) {
-				observed = true
+			pos, stops := op.pos, op.ch != nil && recvObserves(op.ch)
+			if op.kind == blockSelect {
+				pos, stops = selects[b].pos, selects[b].observes
 			}
-		}
-		if s := selects[b]; s != nil {
-			if s.blocking && !observed {
-				report(s.pos, "select with no stop case and no default")
-			}
-			if s.observes {
-				observed = true
+			if !observed && !stops {
+				report(pos, chanliveWhat[op.kind])
 			}
 		}
 	}
 }
 
-// selectFacts summarizes one select head: whether the select as a whole
-// observes the stop token (some comm case receives it — the select is the
-// listen point, so every clause continues observed) and whether it blocks
-// unobserved (no default and no observing comm).
+// selectFacts summarizes one select head: whether some case receives the
+// stop token (the select is then the listen point, so every clause
+// continues observed), and where a finding goes — the first case, or the
+// `select` keyword when there is none.
 type selectFacts struct {
 	observes bool
-	blocking bool
 	pos      token.Pos
 }
 
 // classifySelects inspects each select branch head's clause blocks, which
 // hold the communication statements.
-func classifySelects(g *ir.Graph, obs *observer) map[*ir.Block]*selectFacts {
-	out := make(map[*ir.Block]*selectFacts)
+func classifySelects(g *ir.Graph, obs *observer) map[*ir.Block]selectFacts {
+	out := make(map[*ir.Block]selectFacts)
 	for _, br := range g.Branches {
 		if br.Kind != "select" {
 			continue
 		}
-		s := &selectFacts{}
-		hasDefault := false
+		var s selectFacts
 		for _, cl := range br.Block.Succs {
-			switch cl.Kind {
-			case "select.default":
-				hasDefault = true
-			case "select.case":
-				if len(cl.Nodes) == 0 {
-					continue
-				}
-				comm := cl.Nodes[0]
-				if s.pos == token.NoPos {
-					s.pos = comm.Pos()
-				}
-				if obs.nodeObserves(comm) {
-					s.observes = true
-				}
+			if cl.Kind != "select.case" {
+				continue
 			}
+			if s.pos == token.NoPos {
+				s.pos = cl.Nodes[0].Pos()
+			}
+			s.observes = s.observes || obs.nodeObserves(cl.Nodes[0])
 		}
-		s.blocking = !hasDefault && !s.observes && s.pos != token.NoPos
+		if s.pos == token.NoPos {
+			s.pos = br.Pos
+		}
 		out[br.Block] = s
 	}
 	return out
@@ -203,7 +195,7 @@ func (o *observer) observes(n ast.Node) bool {
 	case *ast.UnaryExpr:
 		return x.Op == token.ARROW && recvObserves(x.X)
 	case *ast.RangeStmt:
-		return o.rangesOverChan(x) && recvObserves(x.X)
+		return rangesOverChan(o.info, x) && recvObserves(x.X)
 	case *ast.CallExpr:
 		fn := callee(o.info, x)
 		return fn != nil && o.funcs[fn]
@@ -228,16 +220,6 @@ func anyNode(n ast.Node, walk func(ast.Node, func(ast.Node) bool), pred func(ast
 	return found
 }
 
-// rangesOverChan reports whether the range statement iterates a channel.
-func (o *observer) rangesOverChan(rs *ast.RangeStmt) bool {
-	t := o.info.TypeOf(rs.X)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
 // recvObserves reports whether receiving from the expression observes the
 // stop token, by the leaf name of the channel source: stop, done or quit
 // spellings (e.stop, stopc, ctx.Done(), quitCh, ...).
@@ -259,44 +241,6 @@ func leafName(e ast.Expr) string {
 		return leafName(x.X)
 	}
 	return ""
-}
-
-type blockingOp struct {
-	pos  token.Pos
-	what string
-}
-
-// blockingOps lists the node's potentially-blocking operations: channel
-// sends, receives and ranges over channels that are not themselves stop
-// observations, and zero-argument Wait calls. Defer statements contribute
-// nothing here — their calls replay in the exit block, where they are
-// scanned.
-func (o *observer) blockingOps(n ast.Node) []blockingOp {
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return nil
-	}
-	var ops []blockingOp
-	ir.Walk(n, func(sub ast.Node) bool {
-		switch x := sub.(type) {
-		case *ast.SendStmt:
-			ops = append(ops, blockingOp{x.Arrow, "blocking channel send"})
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !recvObserves(x.X) {
-				ops = append(ops, blockingOp{x.OpPos, "blocking channel receive"})
-			}
-		case *ast.RangeStmt:
-			if o.rangesOverChan(x) && !recvObserves(x.X) {
-				ops = append(ops, blockingOp{x.For, "range over a channel (a blocking receive per iteration)"})
-			}
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == "Wait" && len(x.Args) == 0 {
-				ops = append(ops, blockingOp{x.Pos(), "blocking Wait call"})
-			}
-		}
-		return true
-	})
-	return ops
 }
 
 // stopObservingFuncs computes, by fixed point, the package functions whose

@@ -2,6 +2,7 @@ package detlint
 
 import (
 	"fmt"
+	"go/ast"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -46,4 +47,100 @@ func TestCollsplitDifferential(t *testing.T) {
 			t.Errorf("diagnostic %d differs:\ncfg:     %s\nlexical: %s", i, cfgDiags[i], lexDiags[i])
 		}
 	}
+}
+
+// runCollsplitLexical is the original AST formulation, retained as the
+// differential oracle: TestCollsplitDifferential asserts it and the CFG
+// formulation produce bit-identical diagnostics on every fixture.
+func runCollsplitLexical(pass *analysis.Pass) error {
+	forEachTopLevelBody(pass, func(body *ast.BlockStmt) {
+		checkCollsplitLexical(pass, body)
+	})
+	return nil
+}
+
+// checkCollsplitLexical walks one function body tracking whether the
+// current position is lexically inside a rank-dependent branch, and
+// reports any collective call found there.
+func checkCollsplitLexical(pass *analysis.Pass, body *ast.BlockStmt) {
+	seed := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		return ok && isRankCall(pass, call)
+	}
+	tainted := taint(pass.TypesInfo, body, seed)
+	dep := func(e ast.Expr) bool { return depends(pass.TypesInfo, tainted, seed, e) }
+	var walk func(n ast.Node, guarded bool)
+	walk = func(n ast.Node, guarded bool) {
+		switch s := n.(type) {
+		case nil:
+			return
+		case *ast.IfStmt:
+			if s.Init != nil {
+				walk(s.Init, guarded)
+			}
+			walk(s.Cond, guarded)
+			g := guarded || dep(s.Cond)
+			walk(s.Body, g)
+			walk(s.Else, g)
+			return
+		case *ast.SwitchStmt:
+			if s.Init != nil {
+				walk(s.Init, guarded)
+			}
+			if s.Tag != nil {
+				walk(s.Tag, guarded)
+			}
+			g := guarded || (s.Tag != nil && dep(s.Tag))
+			if !g {
+				for _, cc := range s.Body.List {
+					for _, e := range cc.(*ast.CaseClause).List {
+						if dep(e) {
+							g = true
+						}
+					}
+				}
+			}
+			walk(s.Body, g)
+			return
+		case *ast.ForStmt:
+			if s.Init != nil {
+				walk(s.Init, guarded)
+			}
+			if s.Cond != nil {
+				walk(s.Cond, guarded)
+			}
+			// A rank-dependent trip count runs the body a different number
+			// of times per rank — the same subset-collective hazard.
+			g := guarded || (s.Cond != nil && dep(s.Cond))
+			if s.Post != nil {
+				walk(s.Post, g)
+			}
+			walk(s.Body, g)
+			return
+		case *ast.CallExpr:
+			if guarded {
+				if name, ok := collectiveCall(pass, s); ok {
+					pass.Reportf(s.Pos(), "collective %s is reachable only under a rank-dependent branch; if any rank takes another path the job deadlocks — hoist it, or justify with //detlint:allow collsplit <reason>", name)
+				}
+			}
+		}
+		// Generic descent preserving the guard.
+		children(n, func(c ast.Node) { walk(c, guarded) })
+	}
+	walk(body, false)
+}
+
+// children invokes fn on n's immediate child nodes.
+func children(n ast.Node, fn func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if c != nil {
+			fn(c)
+		}
+		return false
+	})
 }

@@ -4,10 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
 	"columbia/internal/analysis"
+	"columbia/internal/analysis/ir"
 )
 
 // LockOrder builds each package's lock graph and reports the three
@@ -19,16 +21,21 @@ import (
 // over a channel — while holding any lock, which couples the lock to
 // every goroutine the channel talks to.
 //
-// The analysis is lexical per function with branch-merge (a lock held on
-// every non-diverging arm stays held), treats `defer mu.Unlock()` as
-// holding the lock to function end, and propagates may-acquire /
-// may-block summaries over the in-package static callgraph to a fixed
-// point. Lock identity is structural — "Type.field" for field mutexes,
-// "pkg.var" for package-level ones, "func.name" for locals — so two
-// *instances* of a type share an identity: what is ordered is the code
-// path, not the runtime object. Function literals are analyzed as their
-// own roots (they usually run on other goroutines); test files are
-// exempt.
+// Held sets come from a forward must-held problem over each function
+// body's ir control-flow graph: meet is intersection, so a lock counts as
+// held only where every path to that point holds it, and `defer
+// mu.Unlock()` needs no special case because ir replays deferred calls in
+// the exit block. What can block is blockingOps' decision, less Wait:
+// sync.Cond.Wait releases its mutex while it waits and must be called
+// under it. May-acquire / may-block summaries propagate over the
+// in-package static callgraph to a fixed point. Lock identity is
+// structural — "Type.field" for field mutexes, "pkg.var" for
+// package-level ones, "func.name" for locals — so two *instances* of a
+// type share an identity: what is ordered is the code path, not the
+// runtime object. Every function body is its own root, starting with
+// nothing held: declarations, and every function literal, nested or in a
+// package-level initializer (a literal usually runs on another
+// goroutine). Test files are exempt.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc:  "flag inconsistent lock orders and locks held across channel operations",
@@ -37,11 +44,15 @@ var LockOrder = &analysis.Analyzer{
 
 type lockID string
 
-// heldInfo records one held lock during the lexical walk.
+// heldInfo records where a held lock was taken.
 type heldInfo struct {
 	pos  token.Pos
 	read bool // held via RLock
 }
+
+// heldSet is the must-held fact at a program point; nil means the point
+// has not been reached yet.
+type heldSet map[lockID]heldInfo
 
 type acquisition struct {
 	id   lockID
@@ -68,36 +79,46 @@ type lockWalker struct {
 	decls map[*types.Func]*ast.FuncDecl
 	fname string
 	res   *funcLock
+	ops   map[*ir.Block][]blockingOp
 }
 
 func runLockOrder(pass *analysis.Pass) error {
 	decls := declIndex(pass.TypesInfo, pass.Files)
 	var units []*funcLock
+	analyze := func(body *ast.BlockStmt, fname string, fn *types.Func) {
+		w := &lockWalker{pass: pass, decls: decls, fname: fname, res: &funcLock{fn: fn}}
+		w.analyze(body)
+		units = append(units, w.res)
+	}
+	// literals analyzes every function literal under n, nested ones
+	// included, naming their locals after the enclosing declaration.
+	literals := func(n ast.Node, name string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok {
+				analyze(fl.Body, name+".func", nil)
+			}
+			return true
+		})
+	}
 	for _, f := range pass.Files {
 		if isTestFile(pass, f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			name := fd.Name.Name
-			w := &lockWalker{pass: pass, decls: decls, fname: name, res: &funcLock{fn: fn}}
-			w.stmts(fd.Body.List, map[lockID]heldInfo{})
-			units = append(units, w.res)
-			// Each function literal is its own root: it typically runs on
-			// another goroutine, so it starts with nothing held.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					lw := &lockWalker{pass: pass, decls: decls, fname: name + ".func", res: &funcLock{}}
-					lw.stmts(fl.Body.List, map[lockID]heldInfo{})
-					units = append(units, lw.res)
-					return false
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
+					analyze(d.Body, d.Name.Name, fn)
+					literals(d.Body, d.Name.Name)
 				}
-				return true
-			})
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						literals(vs, vs.Names[0].Name)
+					}
+				}
+			}
 		}
 	}
 
@@ -268,7 +289,7 @@ func joinIDs(ids []lockID) string {
 	return strings.Join(parts, ", ")
 }
 
-func snapshot(held map[lockID]heldInfo) []lockID {
+func snapshot(held heldSet) []lockID {
 	out := make([]lockID, 0, len(held))
 	for id := range held {
 		out = append(out, id)
@@ -277,298 +298,116 @@ func snapshot(held map[lockID]heldInfo) []lockID {
 	return out
 }
 
-func clone(held map[lockID]heldInfo) map[lockID]heldInfo {
-	out := make(map[lockID]heldInfo, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
-// intersect keeps the locks held in every merged arm.
-func intersect(sets []map[lockID]heldInfo) map[lockID]heldInfo {
-	if len(sets) == 0 {
-		return map[lockID]heldInfo{}
-	}
-	out := clone(sets[0])
-	for _, s := range sets[1:] {
-		for id := range out {
-			if _, ok := s[id]; !ok {
-				delete(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// stmts walks a statement list threading the held set; the bool result
-// reports divergence (return, branch out, terminal panic-like shape).
-func (w *lockWalker) stmts(list []ast.Stmt, held map[lockID]heldInfo) (map[lockID]heldInfo, bool) {
-	for _, s := range list {
-		var div bool
-		held, div = w.stmt(s, held)
-		if div {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *lockWalker) stmt(s ast.Stmt, held map[lockID]heldInfo) (map[lockID]heldInfo, bool) {
-	switch s := s.(type) {
-	case nil:
-		return held, false
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scan(r, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the enclosing construct; treating them
-		// as divergence keeps merges conservative.
-		return held, true
-	case *ast.DeferStmt:
-		w.deferred(s.Call, held)
-		return held, false
-	case *ast.GoStmt:
-		// The spawned call runs concurrently; only its argument
-		// expressions evaluate here.
-		for _, a := range s.Call.Args {
-			w.scan(a, held)
-		}
-		return held, false
-	case *ast.SendStmt:
-		w.scan(s.Chan, held)
-		w.scan(s.Value, held)
-		w.blockingOp(s.Arrow, "channel send", held)
-		return held, false
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		var arms []map[lockID]heldInfo
-		thenH, thenDiv := w.stmt(s.Body, clone(held))
-		if !thenDiv {
-			arms = append(arms, thenH)
-		}
-		if s.Else != nil {
-			elseH, elseDiv := w.stmt(s.Else, clone(held))
-			if !elseDiv {
-				arms = append(arms, elseH)
-			}
-		} else {
-			arms = append(arms, held)
-		}
-		if len(arms) == 0 {
-			return held, true
-		}
-		return intersect(arms), false
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, held)
-		}
-		bodyH, bodyDiv := w.stmts(s.Body.List, clone(held))
-		if s.Post != nil {
-			w.stmt(s.Post, bodyH)
-		}
-		if s.Cond == nil && !bodyDiv {
-			// for {} with a non-diverging body never falls out.
-			return bodyH, true
-		}
-		if bodyDiv {
-			return held, false // zero iterations is always possible
-		}
-		return intersect([]map[lockID]heldInfo{held, bodyH}), false
-	case *ast.RangeStmt:
-		w.scan(s.X, held)
-		if t := w.pass.TypesInfo.TypeOf(s.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				w.blockingOp(s.For, "range over channel", held)
-			}
-		}
-		bodyH, bodyDiv := w.stmts(s.Body.List, clone(held))
-		if bodyDiv {
-			return held, false
-		}
-		return intersect([]map[lockID]heldInfo{held, bodyH}), false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scan(s.Tag, held)
-		}
-		return w.clauses(s.Body, held, false)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		return w.clauses(s.Body, held, false)
-	case *ast.SelectStmt:
-		return w.selectStmt(s, held)
-	default:
-		// Assignments, declarations, expression statements, inc/dec:
-		// evaluate contained expressions in place.
-		w.scan(s, held)
-		return held, false
-	}
-}
-
-// clauses merges a switch body's case clauses; select handles its own.
-func (w *lockWalker) clauses(body *ast.BlockStmt, held map[lockID]heldInfo, _ bool) (map[lockID]heldInfo, bool) {
-	var arms []map[lockID]heldInfo
-	hasDefault := false
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-		}
-		for _, e := range cc.List {
-			w.scan(e, held)
-		}
-		h, div := w.stmts(cc.Body, clone(held))
-		if !div {
-			arms = append(arms, h)
-		}
-	}
-	if !hasDefault {
-		arms = append(arms, held)
-	}
-	if len(arms) == 0 {
-		return held, true
-	}
-	return intersect(arms), false
-}
-
-func (w *lockWalker) selectStmt(s *ast.SelectStmt, held map[lockID]heldInfo) (map[lockID]heldInfo, bool) {
-	hasDefault := false
-	for _, c := range s.Body.List {
-		if c.(*ast.CommClause).Comm == nil {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
-		// A select without default blocks; with one it polls.
-		w.blockingOp(s.Select, "select", held)
-	}
-	var arms []map[lockID]heldInfo
-	for _, c := range s.Body.List {
-		cc := c.(*ast.CommClause)
-		h := clone(held)
-		switch cm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			w.scan(cm.Chan, h)
-			w.scan(cm.Value, h)
-		case *ast.ExprStmt:
-			if ue, ok := ast.Unparen(cm.X).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-				w.scan(ue.X, h) // the operand; the receive is the select's
-			} else {
-				w.scan(cm.X, h)
-			}
-		case *ast.AssignStmt:
-			for _, l := range cm.Lhs {
-				w.scan(l, h)
-			}
-			for _, r := range cm.Rhs {
-				if ue, ok := ast.Unparen(r).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-					w.scan(ue.X, h)
-				} else {
-					w.scan(r, h)
-				}
-			}
-		}
-		h, div := w.stmts(cc.Body, h)
-		if !div {
-			arms = append(arms, h)
-		}
-	}
-	if len(arms) == 0 {
-		return held, true
-	}
-	return intersect(arms), false
-}
-
-// scan visits the expressions of a node in evaluation-ish (pre) order,
-// classifying calls and flagging blocking receives; nested function
-// literals are separate analysis roots and are not entered.
-func (w *lockWalker) scan(n ast.Node, held map[lockID]heldInfo) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		switch x := c.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				w.blockingOp(x.OpPos, "channel receive", held)
-			}
-		case *ast.CallExpr:
-			w.call(x, held, false)
-		}
-		return true
+// analyze solves must-held over body's control-flow graph, then replays
+// each reachable block once from its solved entry fact.
+func (w *lockWalker) analyze(body *ast.BlockStmt) {
+	g := ir.New(body)
+	w.ops = blockingOps(w.pass.TypesInfo, g)
+	facts := ir.Solve(g, ir.Problem[heldSet]{
+		Dir:      ir.Forward,
+		Boundary: heldSet{},
+		Init:     nil,
+		Meet:     meetHeld,
+		Equal:    func(a, b heldSet) bool { return (a == nil) == (b == nil) && maps.Equal(a, b) },
+		Transfer: func(b *ir.Block, in heldSet) heldSet { return w.exec(b, in, false) },
 	})
+	for _, b := range g.Blocks {
+		w.exec(b, facts.In[b], true)
+	}
+}
+
+// meetHeld keeps the locks held on both paths; nil is the identity.
+func meetHeld(a, b heldSet) heldSet {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	out := heldSet{}
+	for id, h := range a {
+		if _, ok := b[id]; ok {
+			out[id] = h
+		}
+	}
+	return out
+}
+
+// exec runs block b from the held set in and returns the set at its end.
+// Replaying, it also records acquisitions, in-package calls and blocking
+// points, and reports; as the solver's transfer it only tracks the set. A
+// blocking operation sees the set on entry to its node.
+func (w *lockWalker) exec(b *ir.Block, in heldSet, replay bool) heldSet {
+	if in == nil {
+		return nil
+	}
+	held := maps.Clone(in)
+	ops := w.ops[b]
+	for i, n := range b.Nodes {
+		for ; replay && len(ops) > 0 && ops[0].node == i; ops = ops[1:] {
+			w.blockingOp(ops[0], held)
+		}
+		walkHere(n, func(c ast.Node) bool {
+			if call, ok := c.(*ast.CallExpr); ok {
+				w.call(call, held, replay)
+			}
+			return true
+		})
+	}
+	if replay {
+		for _, op := range ops { // the select ending a select head
+			w.blockingOp(op, held)
+		}
+	}
+	return held
+}
+
+// lockorderWhat names each kind of blocking operation in a finding.
+var lockorderWhat = [...]string{
+	blockSend:   "channel send",
+	blockRecv:   "channel receive",
+	blockRange:  "range over channel",
+	blockSelect: "select",
 }
 
 // blockingOp records a blocking channel operation and reports it when any
-// lock is held.
-func (w *lockWalker) blockingOp(pos token.Pos, what string, held map[lockID]heldInfo) {
+// lock is held. A Wait call is not one here (see LockOrder).
+func (w *lockWalker) blockingOp(op blockingOp, held heldSet) {
+	if op.kind == blockWait {
+		return
+	}
 	w.res.blocks = true
 	if len(held) > 0 {
-		w.pass.Reportf(pos, "blocking %s while holding %s — a lock held across a channel operation couples it to every peer goroutine and can deadlock; release first, or justify with //detlint:allow lockorder <reason>", what, joinIDs(snapshot(held)))
+		w.pass.Reportf(op.pos, "blocking %s while holding %s — a lock held across a channel operation couples it to every peer goroutine and can deadlock; release first, or justify with //detlint:allow lockorder <reason>", lockorderWhat[op.kind], joinIDs(snapshot(held)))
 	}
 }
 
 // call classifies one call: mutex operation (mutating held), in-package
 // static call (recorded for the interprocedural pass), or neither.
-func (w *lockWalker) call(call *ast.CallExpr, held map[lockID]heldInfo, deferred bool) {
+func (w *lockWalker) call(call *ast.CallExpr, held heldSet, replay bool) {
 	if op, id, ok := w.mutexOp(call); ok {
 		switch op {
 		case "Lock", "RLock":
-			if deferred {
-				return // defer mu.Lock() is nonsense; don't model it
-			}
-			if h, dup := held[id]; dup && (op == "Lock" || !h.read) {
-				w.pass.Reportf(call.Pos(), "%s of %s, which is already held (acquired at %s) — a self-deadlock; release first, or justify with //detlint:allow lockorder <reason>", op, id, w.pass.Fset.Position(h.pos))
-				return
-			}
-			if _, dup := held[id]; dup {
+			if h, dup := held[id]; dup {
+				if replay && (op == "Lock" || !h.read) {
+					w.pass.Reportf(call.Pos(), "%s of %s, which is already held (acquired at %s) — a self-deadlock; release first, or justify with //detlint:allow lockorder <reason>", op, id, w.pass.Fset.Position(h.pos))
+				}
 				return // RLock after RLock: shared re-entry, not modeled
 			}
-			w.res.acquires = append(w.res.acquires, acquisition{id: id, held: snapshot(held), pos: call.Pos()})
+			if replay {
+				w.res.acquires = append(w.res.acquires, acquisition{id: id, held: snapshot(held), pos: call.Pos()})
+			}
 			held[id] = heldInfo{pos: call.Pos(), read: op == "RLock"}
 		case "Unlock", "RUnlock":
-			if deferred {
-				return // critical section extends to function end
-			}
 			delete(held, id)
 		}
 		return
 	}
-	if fn := callee(w.pass.TypesInfo, call); fn != nil {
+	if fn := callee(w.pass.TypesInfo, call); replay && fn != nil {
 		if _, ok := w.decls[fn]; ok {
 			w.res.calls = append(w.res.calls, callSite{callee: fn, held: snapshot(held), pos: call.Pos()})
 		}
 	}
-}
-
-// deferred evaluates a deferred call's arguments now and models the call
-// itself as running with the locks held here — conservative, and exactly
-// right for the cleanup-deadlock shape (defer helper() after defer
-// mu.Unlock() runs helper before the unlock).
-func (w *lockWalker) deferred(call *ast.CallExpr, held map[lockID]heldInfo) {
-	for _, a := range call.Args {
-		w.scan(a, held)
-	}
-	w.call(call, held, true)
 }
 
 // mutexOp matches a call to sync.(*Mutex/RWMutex/Locker) Lock family

@@ -113,3 +113,11 @@ func (e *engine) drainStop() {
 		e.out <- 6
 	}()
 }
+
+// runParked parks in an empty select: it has no case a stop broadcast
+// could wake, so the goroutine outlives every shutdown.
+func (e *engine) runParked() {
+	go func() {
+		select {} // want `chanlive: select with no stop case and no default`
+	}()
+}

@@ -108,3 +108,44 @@ func (s *store) deferred() int {
 	defer s.mu.Unlock()
 	return s.items["d"]
 }
+
+// parkLocked parks forever in an empty select with s.mu held.
+func (s *store) parkLocked() {
+	s.mu.Lock()
+	select {} // want `lockorder: blocking select while holding store\.mu`
+}
+
+// breakHeld leaves a `for {}` by break with s.mu still held: the code
+// after the loop runs locked, so the send blocks under it.
+func (s *store) breakHeld() {
+	s.mu.Lock()
+	for {
+		if s.items["b"] > 0 {
+			break
+		}
+		s.items["b"]++
+	}
+	s.ch <- 1 // want `lockorder: blocking channel send while holding store\.mu`
+	s.mu.Unlock()
+}
+
+// hook is a function literal in a package-level initializer: its own
+// root, like every other function body.
+var hook = func(s *store, v int) {
+	s.mu.Lock()
+	s.ch <- v // want `lockorder: blocking channel send while holding store\.mu`
+	s.mu.Unlock()
+}
+
+// spawnNested sends under the mutex from a literal nested inside a
+// goroutine's literal.
+func (s *store) spawnNested(v int) {
+	go func() {
+		send := func() {
+			s.mu.Lock()
+			s.ch <- v // want `lockorder: blocking channel send while holding store\.mu`
+			s.mu.Unlock()
+		}
+		send()
+	}()
+}

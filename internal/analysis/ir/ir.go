@@ -3,8 +3,9 @@
 // switch/type-switch/select/defer/goto and labeled break/continue all
 // lowered to blocks and edges), a generic worklist solver over it, and
 // postdominators. chanlive (must the stop token be observed before every
-// blocking operation) and collsplit (is this collective control-dependent
-// on a rank-dependent branch) are built on it. Like package analysis
+// blocking operation), lockorder (which locks are held on every path to
+// this point) and collsplit (is this collective control-dependent on a
+// rank-dependent branch) are built on it. Like package analysis
 // itself, the shapes deliberately stay close to the upstream
 // golang.org/x/tools/go/cfg vocabulary so a migration would be an import
 // change, not a rewrite (x/tools cannot be vendored here; builds must work
@@ -57,6 +58,9 @@ type Branch struct {
 	Block *Block
 	// Kind is "if", "for", "range", "switch", "typeswitch" or "select".
 	Kind string
+	// Pos is the construct's keyword: where a finding about the construct
+	// as a whole goes, such as a case-less `select {}`.
+	Pos token.Pos
 	// Conds are the controlling expressions: the if/for condition, the
 	// range operand, or the switch tag followed by every case expression.
 	// Empty for select and bare `for {}` heads.
@@ -307,7 +311,7 @@ func (b *builder) ifStmt(x *ast.IfStmt) {
 	}
 	b.add(x.Cond)
 	head := b.cur
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "if", Conds: []ast.Expr{x.Cond}})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "if", Pos: x.If, Conds: []ast.Expr{x.Cond}})
 	then := b.newBlock("if.then")
 	b.jump(head, then)
 	b.cur = then
@@ -339,7 +343,7 @@ func (b *builder) forStmt(x *ast.ForStmt, label string) {
 	b.jump(b.ensure(), head)
 	if x.Cond != nil {
 		head.Nodes = append(head.Nodes, x.Cond)
-		b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "for", Conds: []ast.Expr{x.Cond}})
+		b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "for", Pos: x.For, Conds: []ast.Expr{x.Cond}})
 	}
 	body := b.newBlock("for.body")
 	join := b.newBlock("for.join")
@@ -366,7 +370,7 @@ func (b *builder) rangeStmt(x *ast.RangeStmt, label string) {
 	head := b.newBlock("range.head")
 	b.jump(b.ensure(), head)
 	head.Nodes = append(head.Nodes, x)
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "range", Conds: []ast.Expr{x.X}})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "range", Pos: x.For, Conds: []ast.Expr{x.X}})
 	body := b.newBlock("range.body")
 	join := b.newBlock("range.join")
 	b.jump(head, body)
@@ -413,7 +417,7 @@ func (b *builder) switchStmt(x *ast.SwitchStmt, label string) {
 		b.jump(head, blk)
 		clauses = append(clauses, clause{blk, cc})
 	}
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "switch", Conds: conds})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "switch", Pos: x.Switch, Conds: conds})
 	if !hasDefault {
 		b.jump(head, join)
 	}
@@ -445,7 +449,7 @@ func (b *builder) typeSwitchStmt(x *ast.TypeSwitchStmt, label string) {
 	b.add(x.Assign)
 	head := b.cur
 	join := b.newBlock("switch.join")
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "typeswitch", Conds: typeSwitchOperand(x)})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "typeswitch", Pos: x.Switch, Conds: typeSwitchOperand(x)})
 	hasDefault := false
 	type clause struct {
 		blk *Block
@@ -499,7 +503,7 @@ func typeSwitchOperand(x *ast.TypeSwitchStmt) []ast.Expr {
 func (b *builder) selectStmt(x *ast.SelectStmt, label string) {
 	head := b.ensure()
 	join := b.newBlock("select.join")
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "select"})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "select", Pos: x.Select})
 	hasDefault := false
 	type clause struct {
 		blk *Block

@@ -103,6 +103,22 @@ func TestGraphShape(t *testing.T) {
 		}
 	})
 
+	t.Run("select branch sits at its keyword", func(t *testing.T) {
+		fd := fixtureFunc(t, f, "selectDefault")
+		var sel *ast.SelectStmt
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if s, ok := n.(*ast.SelectStmt); ok {
+				sel = s
+			}
+			return sel == nil
+		})
+		for _, br := range ir.New(fd.Body).Branches {
+			if br.Kind == "select" && br.Pos != sel.Select {
+				t.Errorf("select branch Pos = %d, want its keyword at %d", br.Pos, sel.Select)
+			}
+		}
+	})
+
 	t.Run("defer call replays at exit", func(t *testing.T) {
 		g := ir.New(fixtureFunc(t, f, "deferUnlock").Body)
 		if len(g.Defers) != 1 {

@@ -5,7 +5,7 @@ type Dir int
 
 const (
 	// Forward propagates facts along successor edges (chanlive's
-	// must-have-observed).
+	// must-have-observed, lockorder's must-held).
 	Forward Dir = iota
 	// Backward propagates facts along predecessor edges
 	// (postdominators).

@@ -36,6 +36,12 @@ go build ./...
 echo "== go test =="
 go test -timeout 15m ./...
 
+# colbench/ (the repository benchmark, BENCHMARK.json) is its own module, so
+# the ./... patterns above never compile it; vet and test it in place, so an
+# internal API change that breaks the benchmark fails here.
+echo "== colbench module: go vet, go test =="
+(cd colbench && go vet ./... && go test ./...)
+
 # The fault-injection and crash-recovery tests (TestFault* across vmpi,
 # sweep, fault, core and the CLI) exercise goroutine shutdown, retries and
 # cancellation; run them repeatedly to shake out nondeterministic flakes
