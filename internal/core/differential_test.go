@@ -41,10 +41,11 @@ func diffNoiseSpec() *noise.Spec {
 // engineOracle is the test-only Dispatcher behind TestEngineDifferential.
 // It serves each point in-process twice under one pooled arena — once as
 // is (the calendar engine) and once on the reference goroutine engine
-// (vmpi.WithEngine) — and records every point whose result bytes or error
-// text differ. The calendar outcome is what the report renders. The arena
-// pool also bounds how many points, and goroutine-engine rank fleets, are
-// live at once.
+// (vmpi.WithEngine), which picks every next rank by an O(P) scan instead
+// of the calendar's heap — and records every point whose result bytes or
+// error text differ. The calendar outcome is what the report renders. The
+// arena pool also bounds how many points, and rank fleets, are live at
+// once.
 type engineOracle struct {
 	arenas chan *vmpi.Arena
 	mu     sync.Mutex
@@ -92,15 +93,16 @@ func outcome(res []byte, err error) string {
 }
 
 // TestEngineDifferential is the equivalence contract between the two vmpi
-// execution engines (DESIGN.md §8): every sweep point of every registered
-// experiment, run under the event-calendar engine and the goroutine
-// engine, must produce identical result bytes (unrounded values, not
-// rendered cells) or identical error text — plain, under a degrading fault
-// plan, under the communication sanitizer, and under seeded performance
-// noise (alone and stacked on the fault plan, whose seed decorrelates the
-// jitter streams). Points reach the engines through engineOracle on a
-// fresh sweep pool, so each distinct point of a mode is compared exactly
-// once, and a disagreement names the point's cache key.
+// execution engines (DESIGN.md §8), which share the rank handoff and differ
+// only in how they pick the next rank: every sweep point of every
+// registered experiment, run under the event-calendar engine and the
+// goroutine engine, must produce identical result bytes (unrounded values,
+// not rendered cells) or identical error text — plain, under a degrading
+// fault plan, under the communication sanitizer, and under seeded
+// performance noise (alone and stacked on the fault plan, whose seed
+// decorrelates the jitter streams). Points reach the engines through
+// engineOracle on a fresh sweep pool, so each distinct point of a mode is
+// compared exactly once, and a disagreement names the point's cache key.
 func TestEngineDifferential(t *testing.T) {
 	modes := []struct {
 		name     string

@@ -11,7 +11,8 @@ import (
 // engine-local free list (released back on receive), mailbox queues reuse
 // their ring storage, and heap events live in a reused slice. These tests
 // pin the steady-state allocation budgets so a regression (a forgotten
-// release, a per-event allocation sneaking into calYield) fails loudly.
+// release, a per-event allocation sneaking into yield, next or handoff)
+// fails loudly.
 //
 // All measurements use the delta technique: run the same program with K
 // and 2K operations and attribute the difference to the extra K. Fixed

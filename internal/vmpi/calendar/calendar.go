@@ -1,7 +1,7 @@
 // Package calendar provides the allocation-free data structures behind the
 // event-calendar execution engine in package vmpi: a binary min-heap of
 // scheduling events with lazy invalidation, a FIFO queue that recycles its
-// storage, a free list for pooled structs, and a size-class slice arena.
+// storage, and a free list for pooled structs.
 //
 // Everything here is deliberately dumb and deterministic: no maps are
 // ranged, no wall clock is read, and every tie is broken by an explicit
@@ -45,9 +45,6 @@ type Heap struct {
 	ev []Event
 }
 
-// Len returns the number of events queued, stale entries included.
-func (h *Heap) Len() int { return len(h.ev) }
-
 // Reset empties the heap, keeping its storage for reuse.
 func (h *Heap) Reset() { h.ev = h.ev[:0] }
 
@@ -63,15 +60,6 @@ func (h *Heap) Push(e Event) {
 		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
 		i = parent
 	}
-}
-
-// Peek returns the minimum event without removing it. ok is false when the
-// heap is empty.
-func (h *Heap) Peek() (e Event, ok bool) {
-	if len(h.ev) == 0 {
-		return Event{}, false
-	}
-	return h.ev[0], true
 }
 
 // Pop removes and returns the minimum event. ok is false when the heap is
@@ -192,63 +180,3 @@ func (f *FreeList[T]) Get() *T {
 
 // Put recycles v for a later Get.
 func (f *FreeList[T]) Put(v *T) { f.free = append(f.free, v) }
-
-// arenaClasses is the number of power-of-two size classes an Arena keeps:
-// capacities 1, 2, 4, … 2^(arenaClasses-1).
-const arenaClasses = 24
-
-// Arena is a buffer arena keyed by size class: Get(n) returns a slice of
-// length n drawn from the power-of-two class that fits it, and Put recycles
-// a slice into the class of its capacity. It exists for the engines' and
-// sanitizer's short-lived per-message buffers (vector-clock snapshots,
-// scratch), which would otherwise be one garbage allocation per simulated
-// message. Buffers handed to user programs must NOT be pooled — ownership
-// transfers on receive — so the engine only arenas buffers it provably
-// gets back.
-type Arena[T any] struct {
-	classes [arenaClasses][][]T
-}
-
-// class returns the smallest power-of-two class index that holds n.
-func class(n int) int {
-	c := 0
-	for 1<<c < n {
-		c++
-	}
-	return c
-}
-
-// Get returns a zeroed slice of length n with power-of-two capacity. n must
-// fit the largest class (2^23 elements).
-func (a *Arena[T]) Get(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	c := class(n)
-	if bucket := a.classes[c]; len(bucket) > 0 {
-		s := bucket[len(bucket)-1]
-		bucket[len(bucket)-1] = nil
-		a.classes[c] = bucket[:len(bucket)-1]
-		s = s[:n]
-		var zero T
-		for i := range s {
-			s[i] = zero
-		}
-		return s
-	}
-	return make([]T, n, 1<<c)
-}
-
-// Put recycles s. Slices whose capacity is not an exact power of two are
-// dropped (they came from somewhere else); nil and empty slices are ignored.
-func (a *Arena[T]) Put(s []T) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	cl := class(c)
-	if 1<<cl != c {
-		return
-	}
-	a.classes[cl] = append(a.classes[cl], s[:0])
-}

@@ -71,24 +71,11 @@ func TestHeapMatchesSortReference(t *testing.T) {
 	}
 }
 
-func TestHeapPeekAndReset(t *testing.T) {
+func TestHeapReset(t *testing.T) {
 	var h Heap
-	if _, ok := h.Peek(); ok {
-		t.Fatal("peek on empty heap should report !ok")
-	}
 	h.Push(Event{At: 2, Rank: 1})
 	h.Push(Event{At: 1, Rank: 3})
-	e, ok := h.Peek()
-	if !ok || e.At != 1 || e.Rank != 3 {
-		t.Fatalf("peek: got %+v ok=%v", e, ok)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("len: got %d want 2", h.Len())
-	}
 	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("len after reset: got %d want 0", h.Len())
-	}
 	if _, ok := h.Pop(); ok {
 		t.Fatal("pop after reset should report !ok")
 	}
@@ -180,49 +167,5 @@ func TestFreeListRecycles(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state freelist cycle allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestArenaSizeClassesAndZeroing(t *testing.T) {
-	var a Arena[float64]
-	s := a.Get(5)
-	if len(s) != 5 || cap(s) != 8 {
-		t.Fatalf("Get(5): len=%d cap=%d want 5/8", len(s), cap(s))
-	}
-	for i := range s {
-		s[i] = 1.5
-	}
-	a.Put(s)
-	r := a.Get(6) // class 3 again: must reuse the pooled cap-8 buffer
-	if len(r) != 6 || cap(r) != 8 {
-		t.Fatalf("Get(6) after Put: len=%d cap=%d want 6/8", len(r), cap(r))
-	}
-	for i, v := range r {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
-		}
-	}
-	if a.Get(0) != nil {
-		t.Fatal("Get(0) should return nil")
-	}
-	// Non-power-of-two capacities are dropped, not pooled.
-	odd := make([]float64, 3, 3)
-	a.Put(odd)
-	got := a.Get(3)
-	if cap(got) != 4 {
-		t.Fatalf("odd-capacity slice should not be pooled; got cap %d", cap(got))
-	}
-}
-
-func TestArenaSteadyStateAllocFree(t *testing.T) {
-	var a Arena[int32]
-	warm := a.Get(100)
-	a.Put(warm)
-	allocs := testing.AllocsPerRun(100, func() {
-		s := a.Get(100)
-		a.Put(s)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state arena cycle allocates %.1f/op, want 0", allocs)
 	}
 }

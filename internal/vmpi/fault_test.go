@@ -3,6 +3,7 @@ package vmpi
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -150,8 +151,8 @@ func TestFaultRunPanicsWithRunError(t *testing.T) {
 }
 
 // TestFaultCancellationStopsRun: a canceled context stops an otherwise
-// endless simulation at its next scheduling step, with no goroutine left
-// running (the race detector would flag a leaked rank touching the engine).
+// endless simulation at its next scheduling step. That no rank goroutine
+// is left behind is TestFaultShutdownLeavesNoGoroutines' job.
 func TestFaultCancellationStopsRun(t *testing.T) {
 	cl := machine.NewSingleNode(machine.Altix3700)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,6 +180,85 @@ func TestFaultCancellationStopsRun(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not stop the simulation")
+	}
+}
+
+// TestFaultShutdownLeavesNoGoroutines: however a run ends — cleanly, in a
+// deadlock, a rank panic, a sanitizer or link-down failure, a canceled
+// context or a blown deadline — no rank goroutine outlives it, under either
+// engine. A run that fails with ranks still parked must resume each of them
+// to unwind (shutdown); one that skips that leaks them silently, because a
+// parked rank never touches the engine again, so neither the results nor
+// the race detector can tell. Only the goroutine count does.
+func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
+	const clean ErrorKind = -1
+	single := machine.NewSingleNode(machine.Altix3700)
+	endless := func(c par.Comm) {
+		for {
+			c.Compute(machine.Work{Flops: 1e6})
+		}
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		timeout time.Duration // > 0: run under this deadline; < 0: pre-canceled
+		fn      func(par.Comm)
+		want    ErrorKind
+	}{
+		{"clean", Config{Cluster: single, Procs: 4}, 0,
+			func(c par.Comm) { par.AllreduceBytes(c, 4096) }, clean},
+		{"deadlock", Config{Cluster: single, Procs: 4}, 0,
+			func(c par.Comm) { c.RecvBytes((c.Rank()+1)%c.Size(), 3) }, ErrDeadlock},
+		{"panic", Config{Cluster: single, Procs: 4}, 0, func(c par.Comm) {
+			if c.Rank() == 2 {
+				panic("rank 2 exploded")
+			}
+			c.Barrier()
+		}, ErrPanic},
+		{"sanitizer", Config{Cluster: single, Procs: 2, Sanitize: true}, 0, func(c par.Comm) {
+			if c.Rank() == 0 {
+				c.SendBytes(1, 5, 64) // never received
+			}
+		}, ErrSanitizer},
+		{"linkdown", Config{Cluster: machine.NewBX2bQuad(), Procs: 8, Nodes: 4,
+			Faults: fault.New().DegradeLink(0, 0)}, 0,
+			func(c par.Comm) { par.AlltoallBytes(c, 4096) }, ErrLinkDown},
+		{"canceled", Config{Cluster: single, Procs: 4}, -1, endless, ErrCanceled},
+		{"timeout", Config{Cluster: single, Procs: 4}, 5 * time.Millisecond, endless, ErrTimeout},
+	}
+	for _, eng := range []Engine{EngineCalendar, EngineGoroutine} {
+		for _, c := range cases {
+			t.Run(string(eng)+"/"+c.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				ctx, cancel := WithEngine(context.Background(), eng), func() {}
+				switch {
+				case c.timeout > 0:
+					ctx, cancel = context.WithTimeout(ctx, c.timeout)
+				case c.timeout < 0:
+					ctx, cancel = context.WithCancel(ctx)
+					cancel()
+				}
+				_, err := RunCtx(ctx, c.cfg, c.fn)
+				cancel()
+				var re *RunError
+				switch {
+				case c.want == clean && err != nil:
+					t.Fatalf("run failed: %v", err)
+				case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
+					t.Fatalf("err = %v, want a %s RunError", err, c.want)
+				}
+				// A rank that handed control away may not have returned from
+				// its goroutine yet; give the exits a moment.
+				after := runtime.NumGoroutine()
+				for deadline := time.After(2 * time.Second); after > before; after = runtime.NumGoroutine() {
+					select {
+					case <-deadline:
+						t.Fatalf("%s: %d goroutines before, %d after", c.name, before, after)
+					case <-time.After(time.Millisecond):
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -87,7 +87,11 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 // the calendar and goroutine engines to agree bit-for-bit on the outcome —
 // per-rank statistics on success, the full error text (deadlock
 // enumerations, wait-for chains, sanitizer violations) on failure — both
-// plain and under the communication sanitizer. The seeded corpus under
+// plain and under the communication sanitizer. The engines share the rank
+// handoff and differ only in the pick, so this checks every scheduling
+// decision the calendar heap makes (lazy invalidation, wildcard wake
+// updates, the eager pushes in send and barrier) against the goroutine
+// engine's O(P) scan of every rank. The seeded corpus under
 // testdata/fuzz covers every op the interpreter knows, so a plain `go
 // test` run replays the interesting shapes without requiring -fuzz.
 func FuzzEngineEquivalence(f *testing.F) {

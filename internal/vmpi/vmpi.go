@@ -30,22 +30,21 @@
 //
 // # Execution engines
 //
-// Two engines implement the identical simulation semantics and are
-// guaranteed — by the differential suite in internal/core and the
-// FuzzEngineEquivalence fuzz target — to produce byte-identical results.
-// RunCtx uses the calendar engine unless its context selects the other
-// with WithEngine:
+// Every run passes control between its rank goroutines the same way: the
+// rank that yields picks the next rank itself (next) and resumes it
+// directly (handoff) — one channel operation per switch, none when the
+// yielder is picked again. Two engines differ only in how next makes that
+// pick, and are guaranteed — by the differential suite in internal/core
+// and the FuzzEngineEquivalence fuzz target — to pick identically. RunCtx
+// uses the calendar engine unless its context selects the other with
+// WithEngine:
 //
-//   - EngineCalendar (the default) drives ranks from a pooled event
-//     calendar: an O(log P) min-heap of (time, rank) wake events with lazy
-//     invalidation, direct goroutine-to-goroutine handoff (the yielding
-//     rank resumes the next one itself — one channel operation per switch,
-//     zero when the yielder is still the earliest), and free-listed
-//     message storage so the hot send/recv path does not allocate.
-//   - EngineGoroutine is the original scheduler: a central loop that scans
-//     every rank for the smallest clock and round-trips two channel
-//     handoffs per scheduling step. It is kept as the executable
-//     specification the calendar engine is differentially tested against.
+//   - EngineCalendar (the default) pops a pooled event calendar: an
+//     O(log P) min-heap of (time, rank) wake events with lazy invalidation,
+//     kept current by pushes in send, recv, barrier and yieldReady.
+//   - EngineGoroutine scans every rank for the smallest clock (pickReady,
+//     O(P) per pick). It is kept as the executable specification the
+//     calendar's scheduling decisions are differentially tested against.
 //
 // Both engines keep mailboxes the same way: each run has its own set of
 // (destination, source, tag) queues behind one open-addressed index in the
@@ -79,18 +78,20 @@ const AnySource = -1
 // sender as initiation overhead. [calibrated]
 const sendOverheadFrac = 0.35
 
-// Engine selects the scheduler that advances a simulation's virtual time.
-// Both engines implement identical semantics and produce byte-identical
-// results; they differ only in wall-clock cost. See the package comment.
+// Engine selects how a simulation picks the next rank to run. The engines
+// share everything else — the rank goroutines, the direct handoff between
+// them, the timing model — and differ only in that pick, so they produce
+// byte-identical results. See the package comment.
 type Engine string
 
 const (
-	// EngineCalendar is the event-calendar engine: heap-ordered wake
-	// events, direct rank-to-rank handoff, pooled message storage. The
-	// default.
+	// EngineCalendar picks by popping a heap of wake events ordered by
+	// (time, rank). The default.
 	EngineCalendar Engine = "calendar"
-	// EngineGoroutine is the original central-scheduler engine, kept as
-	// the executable specification for differential testing.
+	// EngineGoroutine picks by scanning every rank for the smallest clock,
+	// ties to the lowest id. It is kept as the executable specification
+	// of the calendar's picks for differential testing; the name survives
+	// from when it also had a central scheduler goroutine of its own.
 	EngineGoroutine Engine = "goroutine"
 )
 
@@ -238,7 +239,9 @@ type rankState struct {
 	compute float64
 	comm    float64
 	status  status
-	resume  chan struct{}
+	// resume wakes the rank's parked goroutine: handoff sends on it when
+	// next picks the rank, and shutdown when the run is torn down.
+	resume chan struct{}
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
@@ -257,7 +260,6 @@ type engine struct {
 	threads    int
 	subPlace   []*machine.Placement // per-rank thread slots, Threads > 1
 	ranks      []*rankState
-	parked     chan *rankState
 	linkBusy   []float64 // per node: internode capacity next-free time
 	fabricBusy []float64 // per node: intra-node cross-brick capacity next-free time
 	inBarrier  int
@@ -288,18 +290,18 @@ type engine struct {
 	// pool, calendar storage, occupancy clocks) this run drew from the
 	// shared scratch pool; RunCtx recycles it after a clean completion.
 	scr *engineScratch
-	// Calendar-engine state (cal selects it). heap orders wake events by
-	// (time, rank); ctx is the run's context, checked at every dispatch;
-	// active counts unfinished ranks; done signals the caller that the run
-	// ended (completion or first error); acks acknowledges shutdown
-	// unwinding. All fields are guarded by the strict one-runner-at-a-time
-	// handoff discipline — channel operations order every access.
+	// Scheduling state. cal selects the calendar engine, whose heap orders
+	// wake events by (time, rank); ctx is the run's context, checked at
+	// every pick; active counts unfinished ranks; done wakes the caller
+	// blocked in run — once when the run ends (completion or first error),
+	// then once per rank that unwinds during shutdown. All fields are
+	// guarded by the strict one-runner-at-a-time handoff discipline —
+	// channel operations order every access.
 	cal    bool
 	ctx    context.Context
 	heap   *calendar.Heap
 	active int
 	done   chan struct{}
-	acks   chan struct{}
 }
 
 // stopToken unwinds a rank goroutine during shutdown; the recover handler
@@ -338,12 +340,7 @@ func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) 
 		return Result{}, err
 	}
 	e.spawn(fn)
-	var res Result
-	if e.cal {
-		res, err = e.runCalendar(ctx)
-	} else {
-		res, err = e.runGoroutine(ctx)
-	}
+	res, err := e.run(ctx)
 	if err == nil {
 		// Every rank goroutine has exited; hand the run's storage back to
 		// the scratch pool so the next run starts warm. Failed or canceled
@@ -354,8 +351,8 @@ func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) 
 }
 
 // spawn starts one goroutine per rank, parked until its first resume. The
-// goroutines are the rank programs' coroutine stacks under both engines;
-// they differ only in who hands control where when a rank exits (rankExit).
+// goroutines are the rank programs' coroutine stacks; control passes between
+// them only through handoff, and a rank that exits hands it on in rankExit.
 func (e *engine) spawn(fn func(par.Comm)) {
 	for i := range e.ranks {
 		r := e.ranks[i]
@@ -372,10 +369,10 @@ func (e *engine) spawn(fn func(par.Comm)) {
 }
 
 // rankExit is the deferred tail of every rank goroutine: it converts rank
-// panics into the run's error (stopToken unwinding excepted), marks the
-// rank done, and hands control onward — to the central scheduler loop
-// under the goroutine engine, or to the next calendar event (or the
-// caller, via done) under the calendar engine.
+// panics into the run's error (stopToken unwinding excepted) and marks the
+// rank done. A rank unwinding during shutdown acknowledges on done; any
+// other hands control to the next rank, or to the caller when the run is
+// over.
 func (e *engine) rankExit(r *rankState) {
 	if p := recover(); p != nil {
 		if _, stop := p.(stopToken); !stop && e.runErr == nil {
@@ -388,94 +385,32 @@ func (e *engine) rankExit(r *rankState) {
 		}
 	}
 	r.status = stDone
-	if !e.cal {
-		e.parked <- r
-		return
-	}
 	if e.stopping {
-		e.acks <- struct{}{}
+		e.done <- struct{}{}
 		return
 	}
 	e.active--
-	if e.runErr != nil || e.active == 0 {
-		e.done <- struct{}{}
-		return
-	}
-	if next := e.calNext(); next != nil {
-		next.status = stRunning
-		next.resume <- struct{}{}
-	} else {
-		e.done <- struct{}{}
-	}
+	e.handoff(e.next())
 }
 
-// runGoroutine is the original engine: a central loop that repeatedly scans
-// for the rank with the smallest virtual clock, resumes it, and waits for
-// it to park. Two channel handoffs and one O(P) scan per scheduling step.
-func (e *engine) runGoroutine(ctx context.Context) (Result, error) {
-	active := len(e.ranks)
-	for active > 0 {
-		if cerr := ctx.Err(); cerr != nil {
-			e.shutdown()
-			kind := ErrCanceled
-			if cerr == context.DeadlineExceeded {
-				kind = ErrTimeout
-			}
-			return Result{}, &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
-		}
-		r := e.pickReady()
-		if e.runErr != nil {
-			// A deferred wildcard match inside pickReady can raise a
-			// sanitizer violation on the scheduler itself.
-			e.shutdown()
-			return Result{}, e.runErr
-		}
-		if r == nil {
-			derr := e.deadlockErr()
-			e.shutdown()
-			return Result{}, derr
-		}
-		r.status = stRunning
-		r.resume <- struct{}{}
-		p := <-e.parked
-		if e.runErr != nil {
-			e.shutdown()
-			return Result{}, e.runErr
-		}
-		if p.status == stDone {
-			active--
-		}
-	}
-	if e.san != nil {
-		if v := e.san.Finalize(); v != nil {
-			e.sanFail(v)
-			return Result{}, e.runErr
-		}
-	}
-	return e.result(), nil
-}
-
-// runCalendar is the event-calendar engine's caller side: it seeds the
-// heap with every rank's start event, dispatches the first rank, and then
-// blocks until a rank signals the end of the run. All scheduling decisions
-// after the first happen on the rank goroutines themselves (calYield,
-// rankExit), which hand control directly to the next event's rank.
-func (e *engine) runCalendar(ctx context.Context) (Result, error) {
+// run is the caller's side of a simulation: it seeds the calendar with
+// every rank's start event (calendar engine only), resumes the first rank,
+// and blocks until a rank signals the end of the run. Every later pick
+// happens on the rank goroutines themselves (yield, rankExit).
+func (e *engine) run(ctx context.Context) (Result, error) {
 	e.ctx = ctx
 	e.active = len(e.ranks)
-	for _, r := range e.ranks {
-		e.calPush(r, 0)
+	if e.cal {
+		for _, r := range e.ranks {
+			e.calPush(r, 0)
+		}
 	}
-	// calNext checks the context first, so — like the goroutine engine —
-	// an already-canceled run fails before its first rank executes.
-	first := e.calNext()
-	if first == nil {
-		e.shutdown()
-		return Result{}, e.runErr
+	// next checks the context, so an already-canceled run fails before its
+	// first rank executes.
+	if first := e.next(); first != nil {
+		e.handoff(first)
+		<-e.done
 	}
-	first.status = stRunning
-	first.resume <- struct{}{}
-	<-e.done
 	if e.runErr != nil {
 		e.shutdown()
 		return Result{}, e.runErr
@@ -487,6 +422,84 @@ func (e *engine) runCalendar(ctx context.Context) (Result, error) {
 		}
 	}
 	return e.result(), nil
+}
+
+// next picks the rank to run next — by popping the calendar, or by the
+// oracle's scan of every rank — and completes its pending wildcard receive
+// if it has one. It returns nil when the run is over: every rank finished,
+// or a failure is recorded in e.runErr. The first failure wins: a recorded
+// one, then a canceled context, then one raised by the pick itself (a
+// sanitizer violation in the wildcard match, or a deadlock when no live
+// rank can run).
+func (e *engine) next() *rankState {
+	if e.active == 0 || e.runErr != nil {
+		return nil
+	}
+	if cerr := e.ctx.Err(); cerr != nil {
+		kind := ErrCanceled
+		if cerr == context.DeadlineExceeded {
+			kind = ErrTimeout
+		}
+		e.runErr = &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
+		return nil
+	}
+	var r *rankState
+	if e.cal {
+		r = e.calPop()
+	} else {
+		r = e.pickReady()
+	}
+	switch {
+	case e.runErr != nil:
+		return nil
+	case r == nil:
+		e.runErr = e.deadlockErr()
+	}
+	return r
+}
+
+// handoff is the one place a rank is resumed outside shutdown: it marks r
+// running and wakes it, or — when r is nil because next found the run over
+// — wakes the caller blocked in run.
+func (e *engine) handoff(r *rankState) {
+	if r == nil {
+		e.done <- struct{}{}
+		return
+	}
+	r.status = stRunning
+	r.resume <- struct{}{}
+}
+
+// yield parks the calling rank until next picks it again. The yielder makes
+// the pick itself: when it is picked again it just keeps running — zero
+// channel operations — and otherwise it hands control on and blocks. When
+// the run is over, the handoff wakes the caller and the yielder stays
+// parked until shutdown unwinds it.
+func (e *engine) yield(r *rankState) {
+	next := e.next()
+	if next == r {
+		r.status = stRunning
+		return
+	}
+	e.handoff(next)
+	<-r.resume
+	if e.stopping {
+		panic(stopToken{})
+	}
+}
+
+// shutdown resumes every live rank with stopping set so it unwinds through
+// stopToken, and waits for each to acknowledge on done (rankExit); after it
+// returns no rank goroutine is left behind.
+func (e *engine) shutdown() {
+	e.stopping = true
+	for _, r := range e.ranks {
+		if r.status == stDone {
+			continue
+		}
+		r.resume <- struct{}{}
+		<-e.done
+	}
 }
 
 // calPush schedules rank r to be pickable at virtual time at, superseding
@@ -496,27 +509,13 @@ func (e *engine) calPush(r *rankState, at float64) {
 	e.heap.Push(calendar.Event{At: at, Rank: int32(r.id), Seq: r.seq})
 }
 
-// calNext pops the next valid event and returns its rank, completing a
-// pending wildcard receive exactly like pickReady does. It returns nil —
-// with e.runErr set — when the run is over: context canceled, a recorded
-// failure, a sanitizer violation raised by the wildcard match, or a drained
-// calendar (deadlock: every live rank is blocked with no wake event).
-func (e *engine) calNext() *rankState {
-	if cerr := e.ctx.Err(); cerr != nil {
-		kind := ErrCanceled
-		if cerr == context.DeadlineExceeded {
-			kind = ErrTimeout
-		}
-		e.runErr = &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
-		return nil
-	}
-	if e.runErr != nil {
-		return nil
-	}
+// calPop is the calendar engine's pick: it pops events until one is still
+// current for its rank, completing that rank's pending wildcard receive
+// exactly like pickReady does. nil means the calendar is drained.
+func (e *engine) calPop() *rankState {
 	for {
 		ev, ok := e.heap.Pop()
 		if !ok {
-			e.runErr = e.deadlockErr()
 			return nil
 		}
 		r := e.ranks[ev.Rank]
@@ -525,53 +524,8 @@ func (e *engine) calNext() *rankState {
 		}
 		if r.status == stBlockedRecv {
 			e.completeRecv(r)
-			if e.runErr != nil {
-				return nil
-			}
 		}
 		return r
-	}
-}
-
-// calYield is the calendar engine's park: the yielding rank dispatches the
-// next event's rank itself and blocks until its own next event pops. When
-// the yielder is still the earliest event, it just keeps running — zero
-// channel operations. When the run is over (calNext returned nil), the
-// yielder signals the caller and parks so shutdown can unwind it.
-func (e *engine) calYield(r *rankState) {
-	next := e.calNext()
-	if next == r {
-		r.status = stRunning
-		return
-	}
-	if next != nil {
-		next.status = stRunning
-		next.resume <- struct{}{}
-	} else {
-		e.done <- struct{}{}
-	}
-	<-r.resume
-	if e.stopping {
-		panic(stopToken{})
-	}
-}
-
-// shutdown resumes every live rank with stopping set so it unwinds through
-// stopToken; after it returns no rank goroutine is left behind. Under the
-// goroutine engine the unwinding rank parks on e.parked as usual; under the
-// calendar engine it acknowledges on e.acks (rankExit).
-func (e *engine) shutdown() {
-	e.stopping = true
-	for _, r := range e.ranks {
-		if r.status == stDone {
-			continue
-		}
-		r.resume <- struct{}{}
-		if e.cal {
-			<-e.acks
-		} else {
-			<-e.parked
-		}
 	}
 }
 
@@ -608,12 +562,7 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 		cal:        eng == EngineCalendar,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
-	}
-	if e.cal {
-		e.done = make(chan struct{})
-		e.acks = make(chan struct{})
-	} else {
-		e.parked = make(chan *rankState)
+		done:       make(chan struct{}),
 	}
 	if cfg.Sanitize {
 		e.san = commsan.New(cfg.Procs)
@@ -743,8 +692,8 @@ func (e *engine) anyCandidates(r *rankState) []int {
 }
 
 // sanFail records a sanitizer violation as the run's failure; the first one
-// wins. Callers on rank goroutines keep executing until their next park,
-// where the scheduler aborts the run.
+// wins. Callers on rank goroutines keep executing until their next yield,
+// where next ends the run.
 func (e *engine) sanFail(v *commsan.Violation) {
 	if e.runErr != nil {
 		return
@@ -866,21 +815,6 @@ func (e *engine) waitStep(r *rankState) CycleStep {
 		}
 	}
 	return st
-}
-
-// yield parks the calling rank goroutine and hands control to the engine:
-// the central scheduler loop (goroutine engine) or the next event's rank
-// directly (calendar engine).
-func (e *engine) yield(r *rankState) {
-	if e.cal {
-		e.calYield(r)
-		return
-	}
-	e.parked <- r
-	<-r.resume
-	if e.stopping {
-		panic(stopToken{})
-	}
 }
 
 // yieldReady parks the rank in the ready state after its clock advanced, so
@@ -1075,9 +1009,9 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 		panic(fmt.Sprintf("vmpi: rank %d receives from invalid rank %d", r.id, src))
 	}
 	if src == AnySource {
-		// Wildcard receives always defer to the scheduler, even when a
+		// Wildcard receives always defer to next's pick, even when a
 		// candidate is already queued: a not-yet-issued send could still
-		// arrive earlier, and only pickReady can prove none will.
+		// arrive earlier, and only the pick can prove none will.
 		r.wantSrc, r.wantTag = src, tag
 		r.status = stBlockedRecv
 		if e.cal {

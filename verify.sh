@@ -67,6 +67,16 @@ go test -timeout 10m -run Noise -count=5 \
 echo "== commsan (representative experiments) =="
 go run ./cmd/columbia -commsan run stride fig8 fig7 table5 > /dev/null
 
+# The runnable examples: go build only compiles them. Run each (under a
+# second in all) so one that panics or exits non-zero fails here.
+echo "== examples =="
+for ex in examples/*/; do
+	go run "./$ex" > /dev/null || {
+		echo "example $ex failed" >&2
+		exit 1
+	}
+done
+
 # Crash-tolerance and noise-ensemble smokes, owned by the Makefile (see
 # DESIGN.md §10 and §13): a small sweep on 2 supervised worker processes
 # under a kill-after-every-point chaos schedule, and one paper table as a
