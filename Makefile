@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-all bench-baseline bench-scaling verify golden lint analyze chaos noise
+.PHONY: build test race bench bench-all bench-baseline verify golden lint analyze chaos noise
 
 build:
 	$(GO) build ./...
@@ -12,8 +12,7 @@ lint:
 	$(GO) vet -vettool=bin/detlint ./...
 
 # Same suite in machine-readable form (-json per-package findings), plus
-# the committed-artifact gates of cmd/perflint (escape budget, wire
-# schema). See DESIGN.md §6 and §11.
+# cmd/perflint's wire-schema gate. See DESIGN.md §6 and §11.
 analyze:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	$(GO) vet -vettool=bin/detlint -json ./...
@@ -28,8 +27,9 @@ race:
 	$(GO) test -race -short ./...
 
 # Benchmark regression gate: runs the engine and sweep benchmarks and
-# fails if any is >15% slower (ns/op) than the latest committed
-# BENCH_<date>.json baseline. See cmd/benchgate and DESIGN.md §8.
+# fails if any is >15% slower (ns/op) or allocates >10% more (allocs/op)
+# than the latest committed BENCH_<date>.json baseline. See cmd/benchgate
+# and DESIGN.md §8.
 bench:
 	$(GO) run ./cmd/benchgate
 
@@ -37,11 +37,6 @@ bench:
 # (writes BENCH_<today>.json; commit it alongside the change).
 bench-baseline:
 	$(GO) run ./cmd/benchgate -write
-
-# Just the sweep worker-scaling curve (-j 1/2/4/8): prints speedups and
-# gates on parallel-beats-serial. See DESIGN.md §9.
-bench-scaling:
-	$(GO) run ./cmd/benchgate -bench 'Sweep(Serial|J2|J4|Parallel)$$'
 
 # Every benchmark in the repo, ungated.
 bench-all:

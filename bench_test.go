@@ -45,17 +45,18 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// --- Scheduler benchmarks: the full paper sweep, serial vs parallel ---
+// --- Scheduler benchmarks: the full paper sweep ---
 
-// benchSweepAll reproduces every experiment (the work of `columbia all`)
-// through the sweep scheduler on the given worker count. Each iteration
-// starts from a cold cache; experiments fan out as coordinators exactly as
-// the CLI does.
-func benchSweepAll(b *testing.B, workers int) {
+// BenchmarkSweepSerial reproduces every experiment (the work of `columbia
+// all`) through the sweep scheduler at -j 1. Each iteration starts from a
+// cold cache; experiments fan out as coordinators exactly as the CLI does.
+// It is benchgate's whole-sweep allocs/op gate. -j scaling is measured by
+// colbench, which runs the real CLI (BENCHMARK.json).
+func BenchmarkSweepSerial(b *testing.B) {
 	exps := core.Experiments()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep.SetWorkers(workers) // fresh pool, cold cache
+		sweep.SetWorkers(1) // fresh pool, cold cache
 		futs := make([]sweep.Future[[]*report.Table], 0, len(exps))
 		for _, e := range exps {
 			e := e
@@ -70,15 +71,6 @@ func benchSweepAll(b *testing.B, workers int) {
 	b.StopTimer()
 	sweep.SetWorkers(0)
 }
-
-// BenchmarkSweepSerial and BenchmarkSweepParallel demonstrate the -j
-// speedup: identical byte output (asserted in the core determinism test),
-// different wall clock on a multi-core host. SweepJ2 and SweepJ4 fill in
-// the scaling curve benchgate records and gates on (see cmd/benchgate).
-func BenchmarkSweepSerial(b *testing.B)   { benchSweepAll(b, 1) }
-func BenchmarkSweepJ2(b *testing.B)       { benchSweepAll(b, 2) }
-func BenchmarkSweepJ4(b *testing.B)       { benchSweepAll(b, 4) }
-func BenchmarkSweepParallel(b *testing.B) { benchSweepAll(b, 8) }
 
 // BenchmarkSweepEnsemble times a noise-ensemble sweep: fig7 (the lightest
 // experiment whose points run real vmpi compute phases) at 5 replicas

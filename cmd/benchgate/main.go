@@ -36,16 +36,10 @@
 // baseline but not in this run are skipped (they were filtered out by
 // -bench); benchmarks new in this run are reported but cannot regress.
 //
-// The Sweep* worker benchmarks (SweepSerial, SweepJ2, SweepJ4,
-// SweepParallel) additionally form the sweep scaling curve: benchgate
-// prints it, records it under "sweep_scaling" in the baseline, and gates
-// on parallel-beats-serial — the widest parallel sweep must be strictly
-// faster than the serial one, so the contention regression that once made
-// -j 8 slower than -j 1 can never silently return. This gate needs no
-// baseline; it is an absolute property of the current run. It applies
-// only when SweepParallel ran at GOMAXPROCS >= 2 (a -N suffix on its
-// result line): -j 8 is capped at GOMAXPROCS, so at GOMAXPROCS=1 it runs
-// the serial schedule and the comparison would be a coin toss.
+// Scaling across -j is not gated here: colbench (BENCHMARK.json) runs the
+// real CLI at -j 1 and -j 2 and compares each change with its parent, and
+// the sweep package's TestWidthClampsConcurrency pins the cap itself. The
+// sweep_scaling curve older baselines carry is ignored.
 package main
 
 import (
@@ -71,29 +65,6 @@ type Baseline struct {
 	Date       string             `json:"date"`
 	GoVersion  string             `json:"go"`
 	Benchmarks map[string]Measure `json:"benchmarks"`
-	// Scaling is the sweep speedup curve derived from the Sweep* worker
-	// benchmarks, recorded so the scaling shape is tracked in-repo.
-	Scaling []ScalingPoint `json:"sweep_scaling,omitempty"`
-}
-
-// ScalingPoint is one point of the sweep's worker-scaling curve.
-type ScalingPoint struct {
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Speedup is serial ns/op over this point's ns/op (1.0 at workers=1).
-	Speedup float64 `json:"speedup"`
-}
-
-// sweepScaling maps the root sweep benchmarks onto their -j worker counts,
-// in curve order.
-var sweepScaling = []struct {
-	name    string
-	workers int
-}{
-	{"BenchmarkSweepSerial", 1},
-	{"BenchmarkSweepJ2", 2},
-	{"BenchmarkSweepJ4", 4},
-	{"BenchmarkSweepParallel", 8},
 }
 
 // Measure is one benchmark's recorded result.
@@ -101,9 +72,6 @@ type Measure struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Procs is the GOMAXPROCS the benchmark ran at, read from the -N name
-	// suffix (go test prints none at 1). Only the scaling gate reads it.
-	Procs int `json:"-"`
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -111,9 +79,8 @@ type Measure struct {
 //	BenchmarkEngineAlltoall-8   12   102424883 ns/op   1024 B/op   3 allocs/op
 //
 // The -8 GOMAXPROCS suffix is stripped from the recorded name so baselines
-// taken on hosts with different core counts stay comparable; it survives
-// as Measure.Procs.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// taken on hosts with different core counts stay comparable.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 // parseBench extracts benchmark measurements from `go test -bench` output.
 // Repeated names (go test -count > 1) keep the minimum ns/op: the fastest
@@ -128,22 +95,19 @@ func parseBench(r io.Reader) (map[string]Measure, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
+		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 		}
 		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
 			continue
 		}
-		meas := Measure{NsPerOp: ns, Procs: 1}
-		if m[2] != "" {
-			meas.Procs, _ = strconv.Atoi(m[2])
+		meas := Measure{NsPerOp: ns}
+		if m[3] != "" {
+			meas.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
 		}
 		if m[4] != "" {
-			meas.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
-		}
-		if m[5] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseFloat(m[5], 64)
+			meas.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		}
 		out[m[1]] = meas
 	}
@@ -201,65 +165,6 @@ func compare(base, current map[string]Measure, threshold, allocThreshold float64
 		return regs[i].metric < regs[j].metric
 	})
 	return regs
-}
-
-// scalingCurve extracts the sweep worker-scaling curve from a result set:
-// one point per Sweep* benchmark present, speedups relative to the serial
-// point. Returns nil unless the serial benchmark and at least one other
-// point were measured.
-func scalingCurve(ms map[string]Measure) []ScalingPoint {
-	serial, ok := ms[sweepScaling[0].name]
-	if !ok || serial.NsPerOp <= 0 {
-		return nil
-	}
-	var curve []ScalingPoint
-	for _, s := range sweepScaling {
-		m, ok := ms[s.name]
-		if !ok || m.NsPerOp <= 0 {
-			continue
-		}
-		curve = append(curve, ScalingPoint{
-			Workers: s.workers,
-			NsPerOp: m.NsPerOp,
-			Speedup: serial.NsPerOp / m.NsPerOp,
-		})
-	}
-	if len(curve) < 2 {
-		return nil
-	}
-	return curve
-}
-
-// scalingGate enforces parallel-beats-serial: when both endpoints of the
-// curve were measured and the widest parallel sweep ran at GOMAXPROCS >= 2,
-// it must be strictly faster than the serial one. It returns the violation,
-// if any, and a note when the gate could not be measured.
-func scalingGate(ms map[string]Measure) (violation, note string) {
-	serial, okS := ms[sweepScaling[0].name]
-	last := sweepScaling[len(sweepScaling)-1]
-	par, okP := ms[last.name]
-	if !okS || !okP || serial.NsPerOp <= 0 || par.NsPerOp <= 0 {
-		return "", ""
-	}
-	if par.Procs < 2 {
-		return "", fmt.Sprintf("scaling gate not measurable at GOMAXPROCS=1: -j %d runs the serial schedule", last.workers)
-	}
-	if par.NsPerOp >= serial.NsPerOp {
-		return fmt.Sprintf("%s (%s) is not faster than %s (%s): the -j %d sweep lost its speedup",
-			last.name, secs(par.NsPerOp), sweepScaling[0].name, secs(serial.NsPerOp), last.workers), ""
-	}
-	return "", ""
-}
-
-// printScaling renders the curve for humans.
-func printScaling(curve []ScalingPoint) {
-	if len(curve) == 0 {
-		return
-	}
-	fmt.Printf("benchgate: sweep scaling curve:\n")
-	for _, p := range curve {
-		fmt.Printf("  -j %-2d %8s  speedup %.2fx\n", p.Workers, secs(p.NsPerOp), p.Speedup)
-	}
 }
 
 // fmtMetric renders a metric value human-readably: durations for ns/op,
@@ -337,31 +242,7 @@ func run() error {
 		return fmt.Errorf("no benchmark results found (wrong -bench regexp?)")
 	}
 
-	// rerunSuspects re-measures the named benchmarks once and merges the
-	// faster measurement into current: a suspect failure on a shared host
-	// is usually load, not code, so only failures that reproduce count.
-	rerunSuspects := func(names []string) error {
-		sort.Strings(names)
-		names = slices.Compact(names)
-		fmt.Printf("benchgate: %d suspect(s), re-running to confirm: %s\n",
-			len(names), strings.Join(names, " "))
-		out, err := runBench("^(" + strings.Join(names, "|") + ")$")
-		if err != nil {
-			return err
-		}
-		rerun, err := parseBench(strings.NewReader(string(out)))
-		if err != nil {
-			return err
-		}
-		for name, m := range rerun {
-			if cur, ok := current[name]; !ok || m.NsPerOp < cur.NsPerOp {
-				current[name] = m
-			}
-		}
-		return nil
-	}
-
-	gateFailed := false
+	var regs []regression
 	basePath, err := latestBaseline(*dir)
 	if err != nil {
 		return err
@@ -375,14 +256,31 @@ func run() error {
 		if err := json.Unmarshal(data, &base); err != nil {
 			return fmt.Errorf("%s: %v", basePath, err)
 		}
-		regs := compare(base.Benchmarks, current, *threshold, *athreshold)
+		regs = compare(base.Benchmarks, current, *threshold, *athreshold)
 		if len(regs) > 0 && *input == "" {
+			// A suspect on a shared host is usually load, not code:
+			// re-measure the suspects once, keep the faster measurement,
+			// and count only the failures that reproduce.
 			names := make([]string, len(regs))
 			for i, r := range regs {
 				names[i] = r.name
 			}
-			if err := rerunSuspects(names); err != nil {
+			sort.Strings(names)
+			names = slices.Compact(names)
+			fmt.Printf("benchgate: %d suspect(s), re-running to confirm: %s\n",
+				len(names), strings.Join(names, " "))
+			out, err := runBench("^(" + strings.Join(names, "|") + ")$")
+			if err != nil {
 				return err
+			}
+			rerun, err := parseBench(strings.NewReader(string(out)))
+			if err != nil {
+				return err
+			}
+			for name, m := range rerun {
+				if cur, ok := current[name]; !ok || m.NsPerOp < cur.NsPerOp {
+					current[name] = m
+				}
 			}
 			regs = compare(base.Benchmarks, current, *threshold, *athreshold)
 		}
@@ -393,33 +291,12 @@ func run() error {
 				r.name, r.metric, fmtMetric(r.metric, r.base), fmtMetric(r.metric, r.cur),
 				(r.cur/r.base-1)*100)
 		}
-		if len(regs) > 0 {
-			gateFailed = true
-		}
 	} else {
 		fmt.Printf("benchgate: %d benchmarks, no baseline in %s (nothing to compare)\n", len(current), *dir)
 	}
 
-	// The scaling gate needs no baseline: parallel-beats-serial is an
-	// absolute property of this run. Like regressions, a first failure is
-	// only a suspect — both endpoints are re-measured before it sticks.
-	if msg, _ := scalingGate(current); msg != "" && *input == "" {
-		if err := rerunSuspects([]string{sweepScaling[0].name, sweepScaling[len(sweepScaling)-1].name}); err != nil {
-			return err
-		}
-	}
-	printScaling(scalingCurve(current))
-	msg, note := scalingGate(current)
-	if note != "" {
-		fmt.Printf("benchgate: %s\n", note)
-	}
-	if msg != "" {
-		fmt.Printf("  SCALING %s\n", msg)
-		gateFailed = true
-	}
-
-	if gateFailed && !*write {
-		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%, or lost parallel speedup)",
+	if len(regs) > 0 && !*write {
+		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%)",
 			*threshold*100, *athreshold*100)
 	}
 
@@ -428,7 +305,6 @@ func run() error {
 			Date:       time.Now().Format("2006-01-02"),
 			GoVersion:  runtime.Version(),
 			Benchmarks: current,
-			Scaling:    scalingCurve(current),
 		}
 		data, err := json.MarshalIndent(b, "", "\t")
 		if err != nil {

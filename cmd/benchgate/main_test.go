@@ -11,7 +11,7 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: columbia
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
-BenchmarkSweepParallel-8             	       1	5981234567 ns/op
+BenchmarkSweepSerial-8               	       1	5981234567 ns/op
 BenchmarkEngineAlltoall-8            	      12	 102424883 ns/op	 4096 B/op	       3 allocs/op
 BenchmarkEngineAlltoallGoroutine-8   	      10	 121781836 ns/op
 BenchmarkEngine2048Ranks-8           	      25	  45600000 ns/op
@@ -39,8 +39,8 @@ func TestParseBench(t *testing.T) {
 	if m.BytesPerOp != 4096 || m.AllocsPerOp != 3 {
 		t.Errorf("benchmem columns = %v B/op %v allocs/op, want 4096/3", m.BytesPerOp, m.AllocsPerOp)
 	}
-	if got["BenchmarkSweepParallel"].NsPerOp != 5981234567 {
-		t.Errorf("large ns/op parsed as %v", got["BenchmarkSweepParallel"].NsPerOp)
+	if got["BenchmarkSweepSerial"].NsPerOp != 5981234567 {
+		t.Errorf("large ns/op parsed as %v", got["BenchmarkSweepSerial"].NsPerOp)
 	}
 }
 
@@ -116,83 +116,6 @@ func TestCompareAllocsOnlyRegression(t *testing.T) {
 	regs := compare(base, current, 0.15, 0.10)
 	if len(regs) != 1 || regs[0].metric != "allocs/op" || regs[0].cur != 2000 {
 		t.Fatalf("got %+v, want one allocs/op regression despite the ns/op improvement", regs)
-	}
-}
-
-func TestScalingCurve(t *testing.T) {
-	ms := map[string]Measure{
-		"BenchmarkSweepSerial":   {NsPerOp: 8e9},
-		"BenchmarkSweepJ2":       {NsPerOp: 5e9},
-		"BenchmarkSweepJ4":       {NsPerOp: 4e9},
-		"BenchmarkSweepParallel": {NsPerOp: 2e9},
-	}
-	curve := scalingCurve(ms)
-	if len(curve) != 4 {
-		t.Fatalf("curve has %d points, want 4: %+v", len(curve), curve)
-	}
-	wantWorkers := []int{1, 2, 4, 8}
-	for i, p := range curve {
-		if p.Workers != wantWorkers[i] {
-			t.Errorf("point %d at workers=%d, want %d (curve must be in worker order)", i, p.Workers, wantWorkers[i])
-		}
-	}
-	if curve[0].Speedup != 1 {
-		t.Errorf("serial speedup = %v, want 1", curve[0].Speedup)
-	}
-	if curve[3].Speedup != 4 {
-		t.Errorf("-j 8 speedup = %v, want 4", curve[3].Speedup)
-	}
-}
-
-func TestScalingCurveNeedsSerialAndOneMore(t *testing.T) {
-	if c := scalingCurve(map[string]Measure{"BenchmarkSweepParallel": {NsPerOp: 1}}); c != nil {
-		t.Errorf("curve without a serial anchor: %+v", c)
-	}
-	if c := scalingCurve(map[string]Measure{"BenchmarkSweepSerial": {NsPerOp: 1}}); c != nil {
-		t.Errorf("single-point curve: %+v", c)
-	}
-}
-
-func TestScalingGate(t *testing.T) {
-	pass := map[string]Measure{
-		"BenchmarkSweepSerial":   {NsPerOp: 6e9, Procs: 2},
-		"BenchmarkSweepParallel": {NsPerOp: 5e9, Procs: 2},
-	}
-	if msg, _ := scalingGate(pass); msg != "" {
-		t.Errorf("gate fired on a faster parallel sweep: %s", msg)
-	}
-	tie := map[string]Measure{
-		"BenchmarkSweepSerial":   {NsPerOp: 6e9, Procs: 2},
-		"BenchmarkSweepParallel": {NsPerOp: 6e9, Procs: 2},
-	}
-	if msg, _ := scalingGate(tie); msg == "" {
-		t.Error("gate passed a parallel sweep that only ties serial (must be strictly faster)")
-	}
-	partial := map[string]Measure{"BenchmarkSweepSerial": {NsPerOp: 6e9}}
-	if msg, note := scalingGate(partial); msg != "" || note != "" {
-		t.Errorf("gate fired without both endpoints measured: %q, %q", msg, note)
-	}
-
-	// The GOMAXPROCS a sweep ran at comes from the result line's -N
-	// suffix; go test prints none at GOMAXPROCS=1, where -j 8 runs the
-	// serial schedule and a tie must not fire.
-	for _, tc := range []struct {
-		suffix string
-		fire   bool
-	}{{"", false}, {"-2", true}} {
-		ms, err := parseBench(strings.NewReader(
-			"BenchmarkSweepSerial" + tc.suffix + "   1   6000000000 ns/op\n" +
-				"BenchmarkSweepParallel" + tc.suffix + "   1   6000000000 ns/op\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, note := scalingGate(ms)
-		if fired := msg != ""; fired != tc.fire {
-			t.Errorf("tie with suffix %q: gate fired = %v, want %v (%q)", tc.suffix, fired, tc.fire, msg)
-		}
-		if unmeasurable := note != ""; unmeasurable == tc.fire {
-			t.Errorf("tie with suffix %q: note %q, want one only at GOMAXPROCS=1", tc.suffix, note)
-		}
 	}
 }
 

@@ -61,14 +61,28 @@ func TestHealthyRunExitsZero(t *testing.T) {
 	}
 }
 
+// TestBadFaultSpecIsUsageError: a spec fault.Parse rejects is a usage
+// error before any point runs or any worker starts. The rejection must
+// happen here: a plan whose fingerprint does not re-parse would fail
+// every worker's handshake instead.
 func TestBadFaultSpecIsUsageError(t *testing.T) {
 	defer resetGlobals()
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-faults", "bogus=1", "run", "stride"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "bogus") {
-		t.Errorf("stderr should name the bad directive: %q", errOut.String())
+	for _, c := range []struct {
+		args []string
+		bad  string // stderr must name the bad directive
+	}{
+		{[]string{"-faults", "bogus=1"}, "bogus"},
+		{[]string{"-faults", "nodedown=1e300"}, "nodedown=1e300"},
+		{[]string{"-workers", "2", "-faults", "nodedown=1e300"}, "nodedown=1e300"},
+		{[]string{"-faults", "slownode=0:inf"}, "slownode=0:inf"},
+		{[]string{"-workers", "2", "-faults", "slownode=0:inf"}, "slownode=0:inf"},
+	} {
+		code, _, errOut := runCLI(append(c.args, "run", "stride")...)
+		if code != 2 {
+			t.Errorf("%v: exit code = %d, want 2 (stderr %q)", c.args, code, errOut)
+		} else if !strings.Contains(errOut, c.bad) {
+			t.Errorf("%v: stderr should name the bad directive %q: %q", c.args, c.bad, errOut)
+		}
 	}
 }
 

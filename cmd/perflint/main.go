@@ -1,35 +1,27 @@
-// Perflint owns the repository's two committed analysis artifacts — the
-// files that pin what no single-package analyzer can see:
+// Perflint owns the repository's committed wire schema
+// (cmd/perflint/wire_schema.json): the gob shape of every //perflint:wire
+// struct, stamped with the dist.ProtocolVersion it was snapshotted at. No
+// single-package analyzer can check it, because the structs live in
+// several packages and the version in one of them.
 //
-//   - the escape budget (cmd/perflint/hotalloc_budget.json): per
-//     //perflint:hot function, the number of heap escapes the compiler's
-//     own escape analysis (-gcflags=-m) attributes to its line range;
-//   - the wire schema (cmd/perflint/wire_schema.json): the gob shape of
-//     every //perflint:wire struct, stamped with the dist.ProtocolVersion
-//     it was snapshotted at.
-//
-// With no flags it is a gate, and any drift between the artifacts and the
-// current source fails with exit 1:
-//
-//   - a hot function whose escape count moved in either direction (a new
-//     escape, or a win the budget has not banked), a hot function missing
-//     from the budget, or a budget entry whose function is gone or no
-//     longer annotated. Escape counts are only comparable under the
-//     toolchain that wrote the budget; under any other, only the
-//     unbudgeted and stale checks run.
-//   - a wire struct whose shape changed without a dist.ProtocolVersion
-//     bump, a bump the schema has not been regenerated for, a wire struct
-//     missing from the schema, or a schema entry whose struct is gone.
+// With no flags it is a gate, and any drift between the schema and the
+// current source fails with exit 1: a wire struct whose shape changed
+// without a dist.ProtocolVersion bump, a bump the schema has not been
+// regenerated for, a wire struct missing from the schema, or a schema
+// entry whose struct is gone.
 //
 // Usage, from the repository root:
 //
 //	go run ./cmd/perflint          # gate
-//	go run ./cmd/perflint -write   # regenerate both artifacts
+//	go run ./cmd/perflint -write   # regenerate the schema
 //
 // -write refuses to re-snapshot a drifted wire schema while
 // dist.ProtocolVersion still equals the committed snapshot's version:
 // changing a wire shape is a protocol change, and the bump is the reviewed
 // evidence that both sides of the wire will be rebuilt.
+//
+// Per-path allocation is not checked here: the AllocsPerRun budgets in
+// the sweep, vmpi, calendar and dist tests measure it.
 package main
 
 import (
@@ -46,7 +38,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -54,11 +45,8 @@ import (
 // modulePath is the repository's module; only its packages are scanned.
 const modulePath = "columbia"
 
-// The committed artifacts, relative to the repository root.
-const (
-	budgetPath = "cmd/perflint/hotalloc_budget.json"
-	schemaPath = "cmd/perflint/wire_schema.json"
-)
+// schemaPath is the committed artifact, relative to the repository root.
+const schemaPath = "cmd/perflint/wire_schema.json"
 
 // listedPackage is the subset of `go list -json` perflint consumes.
 type listedPackage struct {
@@ -85,49 +73,31 @@ func main() {
 }
 
 func run() error {
-	write := flag.Bool("write", false, "regenerate the artifact files instead of gating on them")
+	write := flag.Bool("write", false, "regenerate the wire schema instead of gating on it")
 	flag.Parse()
 
 	pkgs, err := loadRepo()
 	if err != nil {
 		return err
 	}
-	counts := hotFuncs(pkgs)
-	if err := compilerCounts(counts); err != nil {
-		return err
-	}
 	shapes := wireShapes(pkgs)
 	pv, hasPV := distProtocolVersion(pkgs)
-	goVersion := runtime.Version()
 
 	if *write {
-		if err := writeBudget(budgetPath, goVersion, counts); err != nil {
-			return err
-		}
 		return writeWireSchema(schemaPath, shapes, pv, hasPV)
 	}
 
-	budget, err := readArtifact(budgetPath, parseBudget)
+	schema, err := readWireSchema(schemaPath)
 	if err != nil {
 		return err
 	}
-	schema, err := readArtifact(schemaPath, parseWireSchema)
-	if err != nil {
-		return err
-	}
-	if budget.Go != goVersion {
-		fmt.Printf("perflint: budget written by %s, running %s — escape counts not compared, only unbudgeted and stale functions (regenerate with -write to re-arm the comparison)\n",
-			budget.Go, goVersion)
-	}
-	failures := append(gateHot(budget, goVersion, counts), gateWire(schema, shapes, pv, hasPV)...)
-	if len(failures) > 0 {
+	if failures := gateWire(schema, shapes, pv, hasPV); len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Printf("  %s\n", f)
 		}
-		return fmt.Errorf("artifact gates failed: %d finding(s)", len(failures))
+		return fmt.Errorf("wire schema gate failed: %d finding(s)", len(failures))
 	}
-	fmt.Printf("perflint: %d hot functions within budget, %d wire structs frozen at protocol %d\n",
-		len(counts), len(shapes), pv)
+	fmt.Printf("perflint: %d wire structs frozen at protocol %d\n", len(shapes), pv)
 	return nil
 }
 
@@ -193,24 +163,6 @@ func loadRepo() ([]*repoPkg, error) {
 	return pkgs, nil
 }
 
-// readArtifact reads and parses one committed artifact, pointing at -write
-// when the file is missing.
-func readArtifact[T any](path string, parse func([]byte) (*T, error)) (*T, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w (run `go run ./cmd/perflint -write` to create it)", err)
-	}
-	return parse(data)
-}
-
-// decodeStrict decodes one JSON document, rejecting unknown fields so a
-// typo in a hand-edited artifact fails loudly instead of gating nothing.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 // writeArtifact writes v as indented JSON with a trailing newline.
 func writeArtifact(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "\t")
@@ -218,17 +170,6 @@ func writeArtifact(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func relPath(abs string) string {
-	wd, err := os.Getwd()
-	if err != nil {
-		return abs
-	}
-	if rel, err := filepath.Rel(wd, abs); err == nil {
-		return rel
-	}
-	return abs
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

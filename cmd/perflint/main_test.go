@@ -13,68 +13,6 @@ import (
 	"testing"
 )
 
-// TestFuncKey pins the budget key derivation for plain functions and for
-// methods through every receiver shape.
-func TestFuncKey(t *testing.T) {
-	src := `package p
-func Plain() {}
-func (t T) Val() {}
-func (t *T) Ptr() {}
-func (t *G[A, B]) Generic() {}
-type T struct{}
-type G[A any, B any] struct{}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"columbia/p.Plain":     true,
-		"columbia/p.T.Val":     true,
-		"columbia/p.T.Ptr":     true,
-		"columbia/p.G.Generic": true,
-	}
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		key := funcKey("columbia/p", fd)
-		if !want[key] {
-			t.Errorf("funcKey(%s) = %q, not an expected key", fd.Name.Name, key)
-		}
-		delete(want, key)
-	}
-	for k := range want {
-		t.Errorf("no declaration produced key %q", k)
-	}
-}
-
-// TestParseBudget covers the budget loader: a round-trippable document,
-// a defaulted map, and malformed or misspelled documents failing loudly.
-func TestParseBudget(t *testing.T) {
-	b, err := parseBudget([]byte(`{"go": "go1.24.0", "functions": {"columbia/internal/sweep.lookup": 3}}`))
-	if err != nil {
-		t.Fatalf("parseBudget: %v", err)
-	}
-	if b.Go != "go1.24.0" || b.Functions["columbia/internal/sweep.lookup"] != 3 {
-		t.Fatalf("parsed budget = %+v", b)
-	}
-	if b, err := parseBudget([]byte(`{}`)); err != nil || b.Functions == nil {
-		t.Fatalf("empty budget: b=%+v err=%v, want defaulted Functions map", b, err)
-	}
-	for _, bad := range []string{
-		`{"functions": 7}`,
-		`{"go": "go1.24.0", "fucntions": {"columbia/internal/sweep.lookup": 3}}`,
-		`{"functions": {"columbia/internal/sweep.lookup": {"static": 2, "compiler": 3}}}`,
-	} {
-		if _, err := parseBudget([]byte(bad)); err == nil {
-			t.Errorf("parseBudget(%s) succeeded, want an error", bad)
-		}
-	}
-}
-
 // TestParseWireSchema: a misspelled key must fail rather than parse as an
 // empty schema that gates nothing.
 func TestParseWireSchema(t *testing.T) {
@@ -95,51 +33,17 @@ func TestParseWireSchema(t *testing.T) {
 	}
 }
 
-// TestCommittedBudget: a malformed or emptied escape budget must fail the
-// test suite too, not first the gate in verify.sh.
-func TestCommittedBudget(t *testing.T) {
-	budget, err := readArtifact(filepath.Base(budgetPath), parseBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budget.Go == "" || len(budget.Functions) == 0 {
-		t.Errorf("committed escape budget is empty: %+v", budget)
-	}
-}
-
-// TestCommittedWireSchema: likewise for the wire schema, which must at
-// least carry a protocol version and the handshake struct.
+// TestCommittedWireSchema: a malformed or emptied wire schema must fail
+// the test suite too, not first the gate in verify.sh. It must at least
+// carry a protocol version and the handshake struct.
 func TestCommittedWireSchema(t *testing.T) {
-	schema, err := readArtifact(filepath.Base(schemaPath), parseWireSchema)
+	schema, err := readWireSchema(filepath.Base(schemaPath))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if schema.ProtocolVersion == 0 || len(schema.Structs[distPath+".Hello"]) == 0 {
 		t.Errorf("committed wire schema lacks a protocol version or dist.Hello: %+v", schema)
 	}
-}
-
-// TestGateHot runs the escape gate on in-memory counts: over and under
-// budget fail only under the budget's toolchain, unbudgeted and stale
-// functions fail under any.
-func TestGateHot(t *testing.T) {
-	budget := &Budget{Go: "go1.24.0", Functions: map[string]int{
-		"p.over": 1, "p.under": 2, "p.exact": 4, "p.stale": 0,
-	}}
-	counts := map[string]*hotCount{
-		"p.over":  {escapes: 3, shortPos: "p.go:1"},
-		"p.under": {escapes: 1, shortPos: "p.go:2"},
-		"p.exact": {escapes: 4, shortPos: "p.go:3"},
-		"p.fresh": {escapes: 0, shortPos: "p.go:4"},
-	}
-	wantSame := []string{
-		`^ESCAPE p\.fresh \(p\.go:4\): hot function not budgeted`,
-		`^ESCAPE p\.over \(p\.go:1\): compiler reports 3 heap escape\(s\), budget 1 — a new allocation escapes`,
-		`^ESCAPE p\.under \(p\.go:2\): compiler reports 1 heap escape\(s\), budget 2 — an escape was eliminated; bank the win`,
-		`^ESCAPE p\.stale: stale budget entry`,
-	}
-	matchFailures(t, "same toolchain", gateHot(budget, "go1.24.0", counts), wantSame)
-	matchFailures(t, "other toolchain", gateHot(budget, "go1.99.0", counts), []string{wantSame[0], wantSame[3]})
 }
 
 // wireFixture is a dist package with one struct per gate outcome, against

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -33,16 +35,29 @@ type WireField struct {
 	Type string `json:"type"`
 }
 
-// parseWireSchema decodes a schema file, rejecting unknown fields.
+// parseWireSchema decodes a schema file, rejecting unknown fields so a
+// typo in a hand-edited schema fails loudly instead of gating nothing.
 func parseWireSchema(data []byte) (*WireSchema, error) {
 	var s WireSchema
-	if err := decodeStrict(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("wire schema: %w", err)
 	}
 	if s.Structs == nil {
 		s.Structs = map[string][]WireField{}
 	}
 	return &s, nil
+}
+
+// readWireSchema reads and parses the committed schema, pointing at -write
+// when the file is missing.
+func readWireSchema(path string) (*WireSchema, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w (run `go run ./cmd/perflint -write` to create it)", err)
+	}
+	return parseWireSchema(data)
 }
 
 // wireShapes collects the gob shape of every //perflint:wire struct in the
@@ -66,7 +81,7 @@ func wireShapes(pkgs []*repoPkg) map[string][]WireField {
 					if doc == nil && len(gd.Specs) == 1 {
 						doc = gd.Doc
 					}
-					if _, ok := detlint.Marker(doc, "wire"); !ok {
+					if _, ok := detlint.WireMarker(doc); !ok {
 						continue
 					}
 					tn, _ := p.info.Defs[ts.Name].(*types.TypeName)

@@ -30,9 +30,9 @@
 // A finding is silenced by a `//detlint:allow <analyzer> <reason>` comment
 // on (or immediately above) the offending line; stale allows are
 // themselves diagnostics. See package checker for the exact protocol and
-// DESIGN.md §6 for the audit of what each analyzer has caught. The
-// committed artifacts that need a whole-repository view (the escape budget
-// and the wire schema) are gated by cmd/perflint, not by this suite.
+// DESIGN.md §6 for the audit of what each analyzer has caught. The wire
+// schema, which needs a whole-repository view, is gated by cmd/perflint,
+// not by this suite.
 package detlint
 
 import (
@@ -184,25 +184,25 @@ func closure(info *types.Info, decls map[*types.Func]*ast.FuncDecl, roots []*typ
 	return reach
 }
 
-// markerPrefix introduces the source annotations that opt code into a
-// check: //perflint:wire <cover funcs> for wirecover and cmd/perflint's
-// wire schema, //perflint:hot for cmd/perflint's escape budget.
-const markerPrefix = "//perflint:"
+// wireDirective marks a gob wire struct, optionally followed by the names
+// of its cover functions: wirecover checks the fields are consumed, and
+// cmd/perflint freezes the struct's shape in the wire schema.
+const wireDirective = "//perflint:wire"
 
-// Marker extracts the directive of the given kind ("hot", "wire") from a
-// doc comment group, returning the text after the keyword and whether the
-// directive is present.
-func Marker(doc *ast.CommentGroup, kind string) (string, bool) {
+// WireMarker extracts the //perflint:wire directive from a doc comment
+// group, returning the text after the keyword and whether the directive
+// is present.
+func WireMarker(doc *ast.CommentGroup) (string, bool) {
 	if doc == nil {
 		return "", false
 	}
 	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, markerPrefix+kind)
+		rest, ok := strings.CutPrefix(c.Text, wireDirective)
 		if !ok {
 			continue
 		}
 		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // e.g. //perflint:hotter — not this directive
+			continue // e.g. //perflint:wired — not this directive
 		}
 		return strings.TrimSpace(rest), true
 	}

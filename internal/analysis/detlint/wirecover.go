@@ -48,7 +48,7 @@ func runWireCover(pass *analysis.Pass) error {
 				if doc == nil && len(gd.Specs) == 1 {
 					doc = gd.Doc
 				}
-				names, ok := Marker(doc, "wire")
+				names, ok := WireMarker(doc)
 				if !ok {
 					continue
 				}

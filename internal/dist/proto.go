@@ -151,8 +151,6 @@ func (e *WireError) Retryable() bool { return e.CanRetry }
 // frame is assembled in memory and written with a single Write so that
 // concurrent writers (the reply path and the heartbeat goroutine serialize
 // on a mutex above this) never interleave partial frames.
-//
-//perflint:hot
 func writeFrame(w io.Writer, typ byte, payload any) error {
 	var body bytes.Buffer
 	body.WriteByte(typ)
@@ -163,8 +161,6 @@ func writeFrame(w io.Writer, typ byte, payload any) error {
 }
 
 // writeRawFrame frames and writes an already-assembled body.
-//
-//perflint:hot
 func writeRawFrame(w io.Writer, body []byte) error {
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
@@ -180,9 +176,8 @@ func writeRawFrame(w io.Writer, body []byte) error {
 // checksum mismatch — is an error; callers treat all of them as the stream
 // being dead. io.EOF (cleanly between frames) passes through unwrapped so
 // callers can distinguish an orderly close from a mid-frame truncation.
-// One budgeted escape: the frame body buffer, sized by the length prefix.
-//
-//perflint:hot
+// The frame body buffer, sized by the length prefix, is allocated per
+// frame; TestFrameRoundTripAllocationBudget pins a frame's total cost.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -206,8 +201,6 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 }
 
 // decodePayload gob-decodes a frame payload into out.
-//
-//perflint:hot
 func decodePayload(payload []byte, out any) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
 		return fmt.Errorf("dist: decode frame payload: %w", err)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"columbia/internal/sweep"
 )
 
 // TestFaultFrameRoundTrip: every message shape survives the pipe intact,
@@ -91,6 +93,49 @@ func TestFaultFrameCorruptionDetected(t *testing.T) {
 	}
 	if _, _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	}
+}
+
+// TestFrameRoundTripAllocationBudget pins the allocation cost of moving
+// one point across the pipe: writeFrame, readFrame and decodePayload for
+// its Request and for its Reply. Each frame carries its own gob type
+// descriptors, so nearly all of it is gob's encoder and decoder set-up;
+// the budgets catch anything added on top, such as a second copy of the
+// frame body. The race runtime adds one allocation per round trip.
+func TestFrameRoundTripAllocationBudget(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		typ     byte
+		payload any
+		out     any
+		budget  float64
+	}{
+		{"request", frameRequest, Request{Seq: 7, Kind: "npb-mpi", Key: "npb/mpi/ft/A/x", Spec: []byte{1, 2, 3}}, new(Request), 186},
+		{"reply", frameReply, Reply{Seq: 7, Result: []byte{9, 8}}, new(Reply), 206},
+	} {
+		var pipe bytes.Buffer
+		roundTrip := func() {
+			pipe.Reset()
+			if err := writeFrame(&pipe, c.typ, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := readFrame(&pipe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decodePayload(payload, c.out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := c.budget
+		if sweep.RaceEnabled {
+			budget++
+		}
+		got := testing.AllocsPerRun(100, roundTrip)
+		t.Logf("%s: %.0f allocs per frame round trip", c.name, got)
+		if got > budget {
+			t.Errorf("%s frame round trip allocates %.0f objects, budget %.0f", c.name, got, budget)
+		}
 	}
 }
 

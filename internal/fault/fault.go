@@ -501,7 +501,13 @@ func Parse(spec string) (*Plan, error) {
 			p.WithSeed(n)
 			continue
 		}
-		args, err := parseArgs(argstr)
+		// Every directive's first argument is a node index or a
+		// worker-chaos count; slowcpu and buslow add a CPU or bus index.
+		ints := 1
+		if name == "slowcpu" || name == "buslow" {
+			ints = 2
+		}
+		args, err := parseArgs(argstr, ints)
 		if err != nil {
 			return nil, fmt.Errorf("fault: directive %q: %v", part, err)
 		}
@@ -601,17 +607,21 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
-func parseArgs(s string) ([]float64, error) {
+// parseArgs parses a directive's colon-separated numbers, all of which
+// must be finite. The first ints of them are indices or counts: each must
+// also be integral, non-negative and within int range, so the int
+// conversion is exact and the fingerprint re-parses to the same plan.
+func parseArgs(s string, ints int) ([]float64, error) {
 	fields := strings.Split(s, ":")
 	out := make([]float64, len(fields))
 	for i, f := range fields {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("bad number %q", f)
 		}
 		//detlint:allow floatcmp integrality check on a just-parsed literal; Trunc of an integral float is exact
-		if i < 1 && (v != math.Trunc(v) || v < 0) {
-			return nil, fmt.Errorf("node index %q must be a non-negative integer", f)
+		if i < ints && (v != math.Trunc(v) || v < 0 || v >= -math.MinInt) {
+			return nil, fmt.Errorf("index or count %q must be a non-negative integer within int range", f)
 		}
 		out[i] = v
 	}

@@ -206,6 +206,21 @@ func TestFaultParseErrors(t *testing.T) {
 		{"wcorrupt=0", "reply index must be >= 1"},
 		{"wtrunc=0", "reply index must be >= 1"},
 		{"wstall=0.5", "non-negative integer"},
+		// Non-finite numbers are rejected in every position, and an index
+		// or count must fit an int exactly: 1e300 would convert to an
+		// implementation-defined node that renders as -9223372036854775808.
+		{"nodedown=1e300", "within int range"},
+		{"nodedown=9223372036854775808", "within int range"},
+		{"wcorrupt=1e300", "within int range"},
+		{"slownode=0:Inf", "bad number"},
+		{"slownode=0:NaN", "bad number"},
+		{"slownode=-inf:1.5", "bad number"},
+		{"flap=0:NaN:0.5:0.5", "bad number"},
+		{"linkdown=0:nan", "bad number"},
+		{"wkill=Inf", "bad number"},
+		{"slowcpu=0:0.5:3", "non-negative integer"},
+		{"slowcpu=0:-1:3", "non-negative integer"},
+		{"buslow=0:2.5:0.5", "non-negative integer"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil {

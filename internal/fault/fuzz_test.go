@@ -27,6 +27,7 @@ func FuzzPlanParse(f *testing.F) {
 		"linkdown=0:1e-300",
 		"slowcpu=0:0:nan",
 		"flap=0:1e308:1:1",
+		"nodedown=1e300",
 	} {
 		f.Add(seed)
 	}

@@ -14,26 +14,36 @@ import (
 )
 
 // TestCacheHitAllocationFlat pins the contract documented on Cached: once
-// a key is memoized, resubmitting it and collecting the value allocates
-// nothing — the future is one word handed back by value, and the closure
-// adapter is only built on a miss.
+// a key is memoized, resubmitting it through any of the three submitters
+// and collecting the value allocates nothing — the future is one word
+// handed back by value, and the closure adapters and the leaf are only
+// built on a miss.
 func TestCacheHitAllocationFlat(t *testing.T) {
 	p := NewPool(2)
 	const key = "alloc/hit"
 	if _, err := CachedCtx(p, key, func(context.Context) (float64, error) { return 3.5, nil }).WaitErr(); err != nil {
 		t.Fatal(err)
 	}
-	// Hoisted so the measurement sees only Cached+Wait, not the cost of
-	// building the caller's own closure literal.
+	// Hoisted so the measurement sees only the submit and the wait, not the
+	// cost of building the caller's own closure literals.
 	fn := func() float64 { t.Error("cache hit recomputed"); return 0 }
-	avg := testing.AllocsPerRun(200, func() {
-		f := Cached(p, key, fn)
-		if f.Wait() != 3.5 {
-			t.Fatal("wrong memoized value")
+	fnCtx := func(context.Context) (float64, error) { t.Error("cache hit recomputed"); return 0, nil }
+	for _, c := range []struct {
+		name   string
+		submit func() Future[float64]
+	}{
+		{"Cached", func() Future[float64] { return Cached(p, key, fn) }},
+		{"CachedCtx", func() Future[float64] { return CachedCtx(p, key, fnCtx) }},
+		{"CachedRemote", func() Future[float64] { return CachedRemote(p, key, fnCtx) }},
+	} {
+		avg := testing.AllocsPerRun(200, func() {
+			if c.submit().Wait() != 3.5 {
+				t.Fatal("wrong memoized value")
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s cache-hit submit+wait allocates %.1f objects/op, want 0", c.name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("cache-hit submit+wait allocates %.1f objects/op, want 0", avg)
 	}
 }
 

@@ -56,8 +56,6 @@ type cacheShard struct {
 }
 
 // fnv32 is FNV-1a over s.
-//
-//perflint:hot
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -68,8 +66,6 @@ func fnv32(s string) uint32 {
 }
 
 // shardIndex hashes a cache key (FNV-1a) onto its lock stripe.
-//
-//perflint:hot
 func shardIndex(key string) uint32 {
 	return fnv32(key) & (shardCount - 1)
 }
@@ -159,8 +155,6 @@ func NewPoolOpts(ctx context.Context, o Options) *Pool {
 func (p *Pool) Workers() int { return p.opts.Workers }
 
 // shard returns the lock stripe holding key.
-//
-//perflint:hot
 func (p *Pool) shard(key string) *cacheShard { return &p.shards[shardIndex(key)] }
 
 // ResetCache drops every memoized result, forcing subsequent Cached calls
@@ -306,8 +300,6 @@ func (f Future[T]) Err() error {
 // pool replacement already installed a different entry under the key — so
 // a later resubmission of the same point can attempt a fresh computation
 // instead of being served the memoized failure forever.
-//
-//perflint:hot
 func (p *Pool) evict(e *entry) {
 	if e.key == "" {
 		return
@@ -425,8 +417,6 @@ func Go[T any](p *Pool, fn func() T) Future[T] {
 // lookup returns the future already memoized under key, if any. It is the
 // cache-hit path of every Cached call and must stay allocation-free: the
 // future wraps the existing entry by value.
-//
-//perflint:hot
 func lookup[T any](p *Pool, key string) (Future[T], bool) {
 	s := p.shard(key)
 	s.mu.Lock()
@@ -446,10 +436,9 @@ func lookup[T any](p *Pool, key string) (Future[T], bool) {
 // prefix. fn must not wait on other futures.
 //
 // The cache-hit path allocates nothing: the future is returned by value
-// and the context adapter around fn is only built on a miss (the one
-// budgeted escape below).
-//
-//perflint:hot
+// and the context adapter around fn is only built on a miss.
+// TestCacheHitAllocationFlat pins the hit path of Cached, CachedCtx and
+// CachedRemote.
 func Cached[T any](p *Pool, key string, fn func() T) Future[T] {
 	if f, ok := lookup[T](p, key); ok {
 		return f
@@ -463,8 +452,6 @@ func Cached[T any](p *Pool, key string, fn func() T) Future[T] {
 // retried per the pool's policy when the error is retryable, recorded for
 // all current waiters, and evicted from the cache so a later resubmission
 // recomputes rather than replaying the failure.
-//
-//perflint:hot
 func CachedCtx[T any](p *Pool, key string, fn func(context.Context) (T, error)) Future[T] {
 	s := p.shard(key)
 	s.mu.Lock()
@@ -487,8 +474,6 @@ func CachedCtx[T any](p *Pool, key string, fn func(context.Context) (T, error)) 
 // per-attempt Timeout — the fleet owns concurrency and the wall-clock
 // budget. Mixing Cached and CachedRemote
 // keys in one pool is safe: whichever submission lands first owns the entry.
-//
-//perflint:hot
 func CachedRemote[T any](p *Pool, key string, fn func(context.Context) (T, error)) Future[T] {
 	s := p.shard(key)
 	s.mu.Lock()

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"context"
 	"testing"
 
 	"columbia/internal/machine"
@@ -14,12 +15,13 @@ import (
 // release, a per-event allocation sneaking into yield, next or handoff)
 // fails loudly.
 //
-// All measurements use the delta technique: run the same program with K
-// and 2K operations and attribute the difference to the extra K. Fixed
-// per-run costs — rank goroutines, the mailbox index, result assembly —
-// appear in both runs and cancel, leaving the marginal per-operation rate.
+// The per-operation budgets use the delta technique: run the same program
+// with K and 2K operations and attribute the difference to the extra K.
+// Fixed per-run costs — rank goroutines, the mailbox index, result
+// assembly — appear in both runs and cancel, leaving the marginal
+// per-operation rate. TestAllocBudgetWarmRun pins that fixed cost itself.
 //
-// Budgets (measured on the seed implementation):
+// Budgets:
 //
 //	ping-pong round-trip (2 msgs) — 0 allocs: the receive releases each
 //	  message struct before the next send needs one, so the free list
@@ -29,6 +31,11 @@ import (
 //	one-way burst per message    — ≤1.05 allocs: the sender outruns the
 //	  receiver, so every in-flight message needs a live struct; exactly
 //	  the message struct itself is allocated, nothing else.
+//	warm run, fixed cost         — 8 + 3 per rank: the engine, its done
+//	  channel, the network model, the placement (4 objects) and the
+//	  result's stats slice; per rank, the two closures that start its
+//	  goroutine and its comm handle. The scratch itself (rank records,
+//	  mailboxes, free lists) comes back from the pool or arena.
 
 // allocRun measures total allocations for one engine run of fn.
 func allocRun(t *testing.T, procs int, fn func(par.Comm)) float64 {
@@ -100,5 +107,39 @@ func TestAllocBudgetBurst(t *testing.T) {
 	t.Logf("per burst message: %.4f allocs (base %.0f, double %.0f)", perMsg, base, double)
 	if perMsg > 1.05 {
 		t.Errorf("burst send allocates %.4f/msg, budget is 1 (the message struct): something extra is allocating per message", perMsg)
+	}
+}
+
+// TestAllocBudgetWarmRun pins a warm run's fixed cost, which the delta
+// budgets cancel out, on both ways a run gets its scratch: the
+// process-wide scratchPool and an arena installed with WithArena.
+// AllocsPerRun's warm-up run grows the scratch, so rank records and
+// mailbox storage are not counted; one more object per run on either
+// path fails.
+func TestAllocBudgetWarmRun(t *testing.T) {
+	cl := machine.NewSingleNode(machine.Altix3700)
+	allreduce := func(c par.Comm) { par.AllreduceBytes(c, 1024) }
+	arena := WithArena(context.Background(), NewArena())
+	for _, c := range []struct {
+		name   string
+		ctx    context.Context
+		procs  int
+		budget float64
+	}{
+		{"pool/2", context.Background(), 2, 14},
+		{"pool/8", context.Background(), 8, 32},
+		{"arena/2", arena, 2, 14},
+		{"arena/8", arena, 8, 32},
+	} {
+		run := func() {
+			if _, err := RunCtx(c.ctx, Config{Cluster: cl, Procs: c.procs}, allreduce); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(5, run)
+		t.Logf("%s: %.0f allocs per warm run", c.name, got)
+		if got > c.budget {
+			t.Errorf("%s: a warm AllreduceBytes run allocates %.0f objects, budget %.0f", c.name, got, c.budget)
+		}
 	}
 }

@@ -33,8 +33,6 @@ func NewArena() *Arena { return &Arena{} }
 
 // take detaches the arena's scratch, or returns nil when it is empty or
 // checked out.
-//
-//perflint:hot
 func (a *Arena) take() *engineScratch {
 	if a == nil {
 		return nil
@@ -49,8 +47,6 @@ func (a *Arena) take() *engineScratch {
 // put offers a scratch back; reports false when the arena is already full
 // (a concurrent run returned first) so the caller can fall back to the
 // process-wide pool.
-//
-//perflint:hot
 func (a *Arena) put(s *engineScratch) bool {
 	if a == nil {
 		return false

@@ -169,3 +169,22 @@ func TestFreeListRecycles(t *testing.T) {
 		t.Fatalf("steady-state freelist cycle allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestSharedPoolWarmCycleAllocatesNothing pins the pool-hit path: once an
+// instance is pooled, Get hands it back and Put files it again without
+// allocating. Only a Get on an empty pool builds a new one.
+func TestSharedPoolWarmCycleAllocatesNothing(t *testing.T) {
+	type scratch struct{ grown []int }
+	var p SharedPool[scratch]
+	warm := p.Get()
+	warm.grown = make([]int, 64)
+	p.Put(warm)
+	got := p.Get()
+	if got != warm {
+		t.Fatal("Get after Put should return the pooled instance")
+	}
+	p.Put(got)
+	if a := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); a != 0 {
+		t.Fatalf("warm Get/Put cycle allocates %.1f/op, want 0", a)
+	}
+}

@@ -23,11 +23,11 @@ echo "== detlint analyzers =="
 go build -o bin/detlint ./cmd/detlint
 go vet -vettool=bin/detlint ./...
 
-# Committed-artifact gates: the escape budget (the compiler's -gcflags=-m
-# heap escapes per //perflint:hot function) and the wire schema vs
-# dist.ProtocolVersion. Blocking — a new escape or a drifted wire shape
-# fails verification before the build/test steps run.
-echo "== perflint artifact gates (escape budget, wire schema) =="
+# Wire-schema gate: the gob shape of every //perflint:wire struct vs the
+# committed snapshot and dist.ProtocolVersion. Blocking — a wire shape
+# changed without a version bump fails verification before the build/test
+# steps run.
+echo "== perflint wire-schema gate =="
 go run ./cmd/perflint
 
 echo "== go build =="
@@ -97,17 +97,10 @@ go test -timeout 20m -race -short ./...
 # Benchmark regression report: the fast engine benchmarks vs the latest
 # committed BENCH_<date>.json. Non-blocking here — benchmark noise on
 # shared hosts must not fail tier-1 verification; `make bench` is the
-# blocking gate (and runs the sweep benchmarks too).
+# blocking gate (and adds SweepSerial and SweepEnsemble, the whole-sweep
+# allocs/op gate).
 echo "== benchgate (non-blocking report) =="
 go run ./cmd/benchgate -bench 'Engine' ||
 	echo "benchgate: regression reported above (non-blocking in verify)"
-
-# Sweep scaling report: one pass of the -j 1/2/4/8 curve so the speedup
-# shape is visible in every verify run. Single iterations only — the
-# blocking best-of-N scaling gate is `make bench` / `make bench-scaling`
-# (see DESIGN.md §9).
-echo "== sweep scaling curve (non-blocking report) =="
-go run ./cmd/benchgate -bench 'Sweep(Serial|J2|J4|Parallel)$' -benchtime 1x -count 1 ||
-	echo "benchgate: scaling issue reported above (non-blocking in verify)"
 
 echo "verify: all checks passed"
