@@ -11,12 +11,11 @@ lint:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	$(GO) vet -vettool=bin/detlint ./...
 
-# Same suite in machine-readable form (-json per-package findings), plus
-# cmd/perflint's wire-schema gate. See DESIGN.md §6 and §11.
+# Same suite in machine-readable form (-json per-package findings). See
+# DESIGN.md §6.
 analyze:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	$(GO) vet -vettool=bin/detlint -json ./...
-	$(GO) run ./cmd/perflint
 
 test:
 	$(GO) test ./...

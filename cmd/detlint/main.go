@@ -4,9 +4,9 @@
 //	go build -o bin/detlint ./cmd/detlint
 //	go vet -vettool=bin/detlint ./...
 //
-// or simply `make lint` (human output) / `make analyze` (-json output plus
-// the cmd/perflint artifact gates). See package detlint for the analyzers
-// and the //detlint:allow suppression protocol.
+// or simply `make lint` (human output) / `make analyze` (-json output).
+// See package detlint for the analyzers and the //detlint:allow
+// suppression protocol.
 package main
 
 import (

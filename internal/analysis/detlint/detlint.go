@@ -21,7 +21,7 @@
 //     package (a leaked send or a forever-blocked receive).
 //   - lockorder: no double acquisition, inconsistent lock order, or
 //     blocking channel operation while a mutex is held.
-//   - wirecover: every exported field of a //perflint:wire struct is read
+//   - wirecover: every exported field of a //detlint:wire struct is read
 //     by its cover functions, so nothing rides the wire unconsumed.
 //   - chanlive: every blocking operation in a vmpi or dist goroutine comes
 //     after a stop-token observation on every path, so no goroutine
@@ -31,8 +31,8 @@
 // on (or immediately above) the offending line; stale allows are
 // themselves diagnostics. See package checker for the exact protocol and
 // DESIGN.md §6 for the audit of what each analyzer has caught. The wire
-// schema, which needs a whole-repository view, is gated by cmd/perflint,
-// not by this suite.
+// schema, which needs a whole-repository view, is a golden file checked
+// by dist's TestWireSchema, not by this suite.
 package detlint
 
 import (
@@ -186,13 +186,18 @@ func closure(info *types.Info, decls map[*types.Func]*ast.FuncDecl, roots []*typ
 
 // wireDirective marks a gob wire struct, optionally followed by the names
 // of its cover functions: wirecover checks the fields are consumed, and
-// cmd/perflint freezes the struct's shape in the wire schema.
-const wireDirective = "//perflint:wire"
+// dist's TestWireSchema freezes the struct's shape in the wire schema.
+const wireDirective = "//detlint:wire"
 
-// WireMarker extracts the //perflint:wire directive from a doc comment
-// group, returning the text after the keyword and whether the directive
-// is present.
-func WireMarker(doc *ast.CommentGroup) (string, bool) {
+// WireMarker extracts the //detlint:wire directive from the doc comment of
+// ts, declared in gd (whose doc stands in for an unparenthesized
+// declaration's), returning the text after the keyword and whether the
+// directive is present.
+func WireMarker(gd *ast.GenDecl, ts *ast.TypeSpec) (string, bool) {
+	doc := ts.Doc
+	if doc == nil && len(gd.Specs) == 1 {
+		doc = gd.Doc
+	}
 	if doc == nil {
 		return "", false
 	}
@@ -202,7 +207,7 @@ func WireMarker(doc *ast.CommentGroup) (string, bool) {
 			continue
 		}
 		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // e.g. //perflint:wired — not this directive
+			continue // e.g. //detlint:wired — not this directive
 		}
 		return strings.TrimSpace(rest), true
 	}

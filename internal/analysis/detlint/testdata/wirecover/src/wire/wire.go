@@ -7,7 +7,7 @@ import "strconv"
 
 // Spec is a wire struct whose key builder forgets one field.
 //
-//perflint:wire keyOf
+//detlint:wire keyOf
 type Spec struct {
 	Kind string
 	N    int
@@ -25,7 +25,7 @@ func sub(s Spec) int { return s.N * 2 }
 
 // Frame demonstrates the suppression protocol for a deliberate hole.
 //
-//perflint:wire readFrame
+//detlint:wire readFrame
 type Frame struct {
 	Len int
 	//detlint:allow wirecover padding byte, never interpreted on either side
@@ -37,7 +37,7 @@ func readFrame(f Frame) int { return f.Len }
 // Msg is fully delegated: the whole struct passes through a dynamic
 // callee, so the walk cannot see (and must not demand) field reads.
 //
-//perflint:wire dispatch
+//detlint:wire dispatch
 type Msg struct {
 	A int
 	B int
@@ -50,14 +50,14 @@ func dispatch(m Msg, sink func(Msg)) {
 
 // Bad names a cover function that does not exist.
 //
-//perflint:wire nosuch
-type Bad struct { // want `wirecover: //perflint:wire on Bad names unknown cover function "nosuch"`
+//detlint:wire nosuch
+type Bad struct { // want `wirecover: //detlint:wire on Bad names unknown cover function "nosuch"`
 	X int
 }
 
 // Pair is covered by a method, named Type.Method.
 //
-//perflint:wire codec.Encode
+//detlint:wire codec.Encode
 type Pair struct {
 	L int
 	R int
@@ -82,7 +82,7 @@ var sink func(Msg)
 // the cover function checked the version and never read the worker's
 // process id, so quarantine messages could not name the crashed worker.
 //
-//perflint:wire ensure
+//detlint:wire ensure
 type HelloAck struct {
 	Version int
 	PID     int // want `wirecover: wire field HelloAck\.PID is never read in cover function\(s\) ensure`

@@ -9,7 +9,7 @@ import (
 )
 
 // WireCover proves the wire structs can't drift: a struct annotated
-// //perflint:wire <func>... must have every exported field read somewhere
+// //detlint:wire <func>... must have every exported field read somewhere
 // in the transitive in-package call closure of the named cover functions
 // (package-level functions or Type.Method). The cover functions are where
 // the struct becomes authoritative — the cache-key builder, the handshake
@@ -44,11 +44,7 @@ func runWireCover(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				doc := ts.Doc
-				if doc == nil && len(gd.Specs) == 1 {
-					doc = gd.Doc
-				}
-				names, ok := WireMarker(doc)
+				names, ok := WireMarker(gd, ts)
 				if !ok {
 					continue
 				}
@@ -62,7 +58,7 @@ func runWireCover(pass *analysis.Pass) error {
 func checkWireStruct(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, ts *ast.TypeSpec, names string) {
 	st, ok := ts.Type.(*ast.StructType)
 	if !ok {
-		pass.Reportf(ts.Pos(), "//perflint:wire annotates %s, which is not a struct", ts.Name.Name)
+		pass.Reportf(ts.Pos(), "//detlint:wire annotates %s, which is not a struct", ts.Name.Name)
 		return
 	}
 	tn, _ := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
@@ -75,21 +71,21 @@ func checkWireStruct(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, t
 	}
 	covers := strings.Fields(names)
 	if len(covers) == 0 {
-		pass.Reportf(ts.Pos(), "//perflint:wire on %s names no cover functions", ts.Name.Name)
+		pass.Reportf(ts.Pos(), "//detlint:wire on %s names no cover functions", ts.Name.Name)
 		return
 	}
 	var roots []*types.Func
 	for _, name := range covers {
 		fn := resolveCover(pass.Pkg, name)
 		if fn == nil {
-			pass.Reportf(ts.Pos(), "//perflint:wire on %s names unknown cover function %q — it must be a package-level func or Type.Method in this package", ts.Name.Name, name)
+			pass.Reportf(ts.Pos(), "//detlint:wire on %s names unknown cover function %q — it must be a package-level func or Type.Method in this package", ts.Name.Name, name)
 			return
 		}
 		roots = append(roots, fn)
 	}
 	reach := closure(pass.TypesInfo, decls, roots)
 	if len(reach) == 0 {
-		pass.Reportf(ts.Pos(), "//perflint:wire on %s: no cover function body found in this package", ts.Name.Name)
+		pass.Reportf(ts.Pos(), "//detlint:wire on %s: no cover function body found in this package", ts.Name.Name)
 		return
 	}
 

@@ -54,7 +54,9 @@ func activeDispatcher() Dispatcher {
 
 // ClusterRef names one of the experiments' cluster shapes in serializable
 // form: a single node of a given type, or the four-box BX2b ensemble over
-// NUMAlink4 ("nl") or InfiniBand ("ib").
+// NUMAlink4 ("nl") or InfiniBand ("ib"). It rides inside every PointSpec.
+//
+//detlint:wire ClusterRef.cluster
 type ClusterRef struct {
 	Node machine.NodeType
 	Quad string
@@ -89,7 +91,7 @@ func (r ClusterRef) cluster() *machine.Cluster {
 // buildPoint — a field the builder ignores can drift between processes
 // without the key-drift check noticing.
 //
-//perflint:wire buildPoint
+//detlint:wire buildPoint
 type PointSpec struct {
 	// Kind selects the builder: "beff", "pingpong-lat", "npb-mpi",
 	// "npb-omp", "mz" or "md-weak".

@@ -60,7 +60,7 @@ const (
 // Every field must be consumed on the worker side — an ignored field is a
 // configuration that silently diverges between processes.
 //
-//perflint:wire ServeWorker
+//detlint:wire ServeWorker
 type Hello struct {
 	Version int
 	// Faults is the active fault plan's canonical fingerprint (fault.Plan
@@ -85,7 +85,7 @@ type Hello struct {
 
 // HelloAck is the worker→supervisor handshake reply.
 //
-//perflint:wire lane.ensure
+//detlint:wire lane.ensure
 type HelloAck struct {
 	Version int
 	PID     int
@@ -94,7 +94,7 @@ type HelloAck struct {
 // Request dispatches one sweep point: an opaque kind + serialized spec the
 // worker's executor understands, plus the memo key for cross-checking.
 //
-//perflint:wire ServeWorker
+//detlint:wire ServeWorker
 type Request struct {
 	// Seq matches a Reply to its Request within one worker incarnation.
 	Seq uint64
@@ -111,7 +111,7 @@ type Request struct {
 // Reply carries one computed point back: the gob-encoded result, or the
 // structured failure the point degraded with.
 //
-//perflint:wire lane.dispatch
+//detlint:wire lane.dispatch
 type Reply struct {
 	Seq    uint64
 	Result []byte
@@ -129,7 +129,7 @@ type Heartbeat struct{ Pad byte }
 // retryable bit for the sweep's resubmission policy — so a degraded cell is
 // byte-identical whether the point failed in-process or in a worker.
 //
-//perflint:wire WireError.Error WireError.FailureKind WireError.Retryable
+//detlint:wire WireError.Error WireError.FailureKind WireError.Retryable
 type WireError struct {
 	// Kind is the FailureKind label ("timeout", "deadlock", ...).
 	Kind string

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"columbia/internal/fault"
+	"columbia/internal/report"
+	"columbia/internal/sweep"
 )
 
 // Executor computes one sweep point in the worker process: it rebuilds the
@@ -185,11 +188,11 @@ func heartbeat(w io.Writer, mu *sync.Mutex, interval time.Duration) (stop func()
 // was computed (corrupt). Either way the supervisor's reader must detect a
 // dead stream, never a plausible frame.
 func writeSabotagedReply(w io.Writer, mu *sync.Mutex, reply Reply, truncate bool) error {
-	var buf bytesBuffer
+	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameReply, reply); err != nil {
 		return err
 	}
-	b := buf.b
+	b := buf.Bytes()
 	mu.Lock()
 	defer mu.Unlock()
 	if truncate {
@@ -201,39 +204,14 @@ func writeSabotagedReply(w io.Writer, mu *sync.Mutex, reply Reply, truncate bool
 	return err
 }
 
-// bytesBuffer is a minimal io.Writer capturing a frame for sabotage.
-type bytesBuffer struct{ b []byte }
-
-func (f *bytesBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
 // toWireError converts a point's structured failure for the pipe,
 // preserving the three facts the report and retry layers consume: the kind
-// label, the complete error text, and retryability. The kind derivation
-// mirrors report.FailCell exactly so a cell degrades to the same "!kind"
-// whether the point failed here or in-process.
+// label, the complete error text, and retryability. It classifies with
+// the same functions those layers use, so a cell degrades to the same
+// "!kind" whether the point failed here or in-process.
 func toWireError(err error) *WireError {
 	if err == nil {
 		return nil
 	}
-	kind := "error"
-	var fk interface{ FailureKind() string }
-	switch {
-	case errors.As(err, &fk):
-		kind = fk.FailureKind()
-	case errors.Is(err, context.Canceled):
-		kind = "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
-		kind = "timeout"
-	}
-	retry := false
-	for e := err; e != nil; e = errors.Unwrap(e) {
-		if r, ok := e.(interface{ Retryable() bool }); ok {
-			retry = r.Retryable()
-			break
-		}
-	}
-	return &WireError{Kind: kind, Msg: err.Error(), CanRetry: retry}
+	return &WireError{Kind: report.FailureKind(err), Msg: err.Error(), CanRetry: sweep.Retryable(err)}
 }

@@ -75,22 +75,29 @@ type FailureKinder interface {
 	FailureKind() string
 }
 
+// FailureKind labels a failed point: the kind of the first FailureKinder
+// in err's chain, else "canceled" or "timeout" for a context error, else
+// "error".
+func FailureKind(err error) string {
+	var fk FailureKinder
+	switch {
+	case errors.As(err, &fk):
+		return fk.FailureKind()
+	case errors.Is(err, context.Canceled):
+		return "canceled"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "timeout"
+	}
+	return "error"
+}
+
 // FailCell records a failed point and returns its degraded cell: "!kind"
 // (e.g. "!node-down", "!deadlock"), which Plot already skips as
 // non-numeric. The failure is counted in t.Failures and its first line is
 // preserved as a footnote, so the table completes with every healthy cell
 // intact and the failure still diagnosable.
 func (t *Table) FailCell(err error) string {
-	kind := "error"
-	var fk FailureKinder
-	switch {
-	case errors.As(err, &fk):
-		kind = fk.FailureKind()
-	case errors.Is(err, context.Canceled):
-		kind = "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
-		kind = "timeout"
-	}
+	kind := FailureKind(err)
 	t.Failures++
 	if t.FailKinds == nil {
 		t.FailKinds = make(map[string]int)

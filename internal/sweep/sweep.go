@@ -239,10 +239,10 @@ func (e *PanicError) FailureKind() string {
 	return "panic"
 }
 
-// retryable reports whether err (or anything it wraps) declares itself
+// Retryable reports whether err (or anything it wraps) declares itself
 // worth resubmitting via a Retryable() method — vmpi timeouts and
 // transient faults do; deterministic failures do not.
-func retryable(err error) bool {
+func Retryable(err error) bool {
 	for e := err; e != nil; e = errors.Unwrap(e) {
 		if r, ok := e.(interface{ Retryable() bool }); ok {
 			return r.Retryable()
@@ -367,7 +367,7 @@ func (p *Pool) retry(e *entry, fn func(context.Context) (any, error)) {
 			return
 		}
 		e.err = err
-		if n >= p.opts.MaxRetries || !retryable(err) {
+		if n >= p.opts.MaxRetries || !Retryable(err) {
 			break
 		}
 		p.retries.Add(1)

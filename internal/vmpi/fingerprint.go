@@ -32,15 +32,6 @@ func (c Config) Fingerprint() string {
 	o := c.OMP
 	fmt.Fprintf(&b, "|omp=%g/%s/%d/%g/%d/%v",
 		o.SharedFraction, o.Method, o.Regions, o.SerialFraction, o.MaxUseful, o.SharedWorkingSet)
-	if c.Placement != nil {
-		b.WriteString("|pl=")
-		for i, l := range c.Placement.Locs() {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d:%d", l.Node, l.CPU)
-		}
-	}
 	// Injected faults change results, so they must change the cache key;
 	// healthy configs keep their historical fingerprints byte-identical.
 	if !c.Faults.Empty() {

@@ -27,7 +27,6 @@ var fingerprintMutators = map[string]func(*Config){
 	"Threads":       func(c *Config) { c.Threads = 2 },
 	"Nodes":         func(c *Config) { c.Nodes = 2 },
 	"Stride":        func(c *Config) { c.Stride = 2 },
-	"Placement":     func(c *Config) { c.Placement = machine.Strided(c.Cluster, c.Procs, 2) },
 	"Pin":           func(c *Config) { c.Pin = pinning.None },
 	"ComputeFactor": func(c *Config) { c.ComputeFactor = 1.7 },
 	"OMP":           func(c *Config) { c.OMP.SerialFraction = 0.25 },

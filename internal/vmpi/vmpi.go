@@ -130,9 +130,6 @@ type Config struct {
 	Nodes int
 	// Stride places CPUs every Stride-th processor (§4.2); 0 means 1.
 	Stride int
-	// Placement overrides the computed CPU assignment (Procs*Threads
-	// slots, rank-major).
-	Placement *machine.Placement
 	// Pin is the pinning policy (default Dplace — the paper pins
 	// everything except the Fig. 7 comparison).
 	Pin pinning.Method
@@ -166,9 +163,6 @@ type Config struct {
 }
 
 func (c *Config) placement() *machine.Placement {
-	if c.Placement != nil {
-		return c.Placement
-	}
 	slots := c.Procs * c.threads()
 	if c.Nodes > 1 {
 		return machine.Blocked(c.Cluster, slots, c.Nodes)

