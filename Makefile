@@ -1,21 +1,9 @@
 GO ?= go
 
-.PHONY: build test race bench bench-all bench-baseline verify golden lint analyze chaos noise
+.PHONY: build test race bench bench-all bench-baseline verify golden chaos noise
 
 build:
 	$(GO) build ./...
-
-# Static analysis gate (see internal/analysis/detlint): builds the vettool
-# and runs its eight analyzers over every package.
-lint:
-	$(GO) build -o bin/detlint ./cmd/detlint
-	$(GO) vet -vettool=bin/detlint ./...
-
-# Same suite in machine-readable form (-json per-package findings). See
-# DESIGN.md §6.
-analyze:
-	$(GO) build -o bin/detlint ./cmd/detlint
-	$(GO) vet -vettool=bin/detlint -json ./...
 
 test:
 	$(GO) test ./...

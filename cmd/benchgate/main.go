@@ -76,11 +76,14 @@ type Measure struct {
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkEngineAlltoall-8   12   102424883 ns/op   1024 B/op   3 allocs/op
+//	BenchmarkRealDGEMM-8   200   2969659 ns/op   529.64 MB/s   450 B/op   10 allocs/op
 //
-// The -8 GOMAXPROCS suffix is stripped from the recorded name so baselines
-// taken on hosts with different core counts stay comparable.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// go test prints ns/op first and then one `<value> <unit>` pair per
+// further metric: MB/s under SetBytes, each b.ReportMetric unit, and B/op
+// and allocs/op under -benchmem. The -8 GOMAXPROCS suffix is stripped from
+// the recorded name so baselines taken on hosts with different core counts
+// stay comparable.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
 
 // parseBench extracts benchmark measurements from `go test -bench` output.
 // Repeated names (go test -count > 1) keep the minimum ns/op: the fastest
@@ -103,11 +106,18 @@ func parseBench(r io.Reader) (map[string]Measure, error) {
 			continue
 		}
 		meas := Measure{NsPerOp: ns}
-		if m[3] != "" {
-			meas.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
-		}
-		if m[4] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
+		pairs := strings.Fields(m[3])
+		for i := 0; i+1 < len(pairs); i += 2 {
+			v, err := strconv.ParseFloat(pairs[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %v", pairs[i+1], sc.Text(), err)
+			}
+			switch pairs[i+1] {
+			case "B/op":
+				meas.BytesPerOp = v
+			case "allocs/op":
+				meas.AllocsPerOp = v
+			}
 		}
 		out[m[1]] = meas
 	}

@@ -15,6 +15,7 @@ BenchmarkSweepSerial-8               	       1	5981234567 ns/op
 BenchmarkEngineAlltoall-8            	      12	 102424883 ns/op	 4096 B/op	       3 allocs/op
 BenchmarkEngineAlltoallGoroutine-8   	      10	 121781836 ns/op
 BenchmarkEngine2048Ranks-8           	      25	  45600000 ns/op
+BenchmarkRealDGEMM-8                 	     200	   2969659 ns/op	 529.64 MB/s	     450 B/op	      10 allocs/op
 some unrelated line
 PASS
 ok  	columbia	30.910s
@@ -25,8 +26,8 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
+	if len(got) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5: %v", len(got), got)
 	}
 	// The -8 GOMAXPROCS suffix must be stripped.
 	m, ok := got["BenchmarkEngineAlltoall"]
@@ -41,6 +42,11 @@ func TestParseBench(t *testing.T) {
 	}
 	if got["BenchmarkSweepSerial"].NsPerOp != 5981234567 {
 		t.Errorf("large ns/op parsed as %v", got["BenchmarkSweepSerial"].NsPerOp)
+	}
+	// An extra metric (MB/s from SetBytes) between ns/op and B/op must not
+	// hide the benchmem columns.
+	if m := got["BenchmarkRealDGEMM"]; m.NsPerOp != 2969659 || m.BytesPerOp != 450 || m.AllocsPerOp != 10 {
+		t.Errorf("DGEMM line parsed as %+v, want 2969659 ns/op, 450 B/op, 10 allocs/op", m)
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 // TestAllowAudit sweeps every //detlint:allow comment in the repository
 // and validates it against the suppression grammar the checker enforces:
 // a known analyzer name followed by a non-empty reason. The checker
-// reports malformed and stale allows only for the package being vetted;
-// this audit catches the same rot repo-wide in one pass — including files
-// behind build tags that no vet invocation on this host would load — so a
-// suppression cannot quietly decay into a comment that silences nothing.
+// reports malformed and stale allows only in the files it is given; this
+// audit catches the same rot repo-wide in one pass — including files
+// behind build tags that TestLint's build configuration does not load,
+// such as internal/sweep/race.go — so a suppression cannot quietly decay
+// into a comment that silences nothing.
 func TestAllowAudit(t *testing.T) {
 	known := make(map[string]bool)
 	for _, n := range detlint.Names() {

@@ -9,6 +9,9 @@
 // lives here. The shapes deliberately mirror x/tools so the detlint
 // analyzers could migrate to the upstream framework by changing imports
 // alone; see DESIGN.md "Determinism invariants and how they are enforced".
+//
+// TestLint runs the detlint suite over the module through checker.Run,
+// the one driver, so a finding fails go test ./....
 package analysis
 
 import (
@@ -42,7 +45,7 @@ type Pass struct {
 	// Fset maps token.Pos values in Files to file positions.
 	Fset *token.FileSet
 	// Files are the package's parsed syntax trees, including _test.go
-	// files when the test variant of the package is being vetted.
+	// files when the test variant of the package is being linted.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package

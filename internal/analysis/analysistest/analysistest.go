@@ -26,10 +26,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,10 +46,10 @@ import (
 var sourceImporter = importer.ForCompiler(token.NewFileSet(), "source", nil)
 
 // Run loads the fixture package at <testdata>/src/<pkgpath>, applies run
-// via the checker (so //detlint:allow suppression is active, exactly as in
-// the vet tool), and compares diagnostics against the fixture's want
-// annotations. known lists the full suite's analyzer names so fixtures may
-// carry allow comments for analyzers outside this run.
+// via the checker (so //detlint:allow suppression is active, exactly as
+// in the lint of the module), and compares diagnostics against the
+// fixture's want annotations. known lists the full suite's analyzer names
+// so fixtures may carry allow comments for analyzers outside this run.
 func Run(t *testing.T, testdata, pkgpath string, run []*analysis.Analyzer, known []string) {
 	t.Helper()
 	pkg := Load(t, testdata, pkgpath)
@@ -64,26 +65,30 @@ func Run(t *testing.T, testdata, pkgpath string, run []*analysis.Analyzer, known
 func Load(t *testing.T, testdata, pkgpath string) *checker.Package {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkgpath)
-	entries, err := os.ReadDir(dir)
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
+		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		t.Fatalf("fixture dir %s has no .go files", dir)
 	}
-	fset := token.NewFileSet()
+	pkg, err := TypeCheck(token.NewFileSet(), pkgpath, names, sourceImporter)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", pkgpath, err)
+	}
+	return pkg
+}
+
+// TypeCheck parses the named files into fset, with comments, and
+// type-checks them as the package pkgpath, resolving its imports
+// through imp. The result carries every types.Info map an analyzer
+// reads.
+func TypeCheck(fset *token.FileSet, pkgpath string, filenames []string, imp types.Importer) (*checker.Package, error) {
 	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -94,12 +99,51 @@ func Load(t *testing.T, testdata, pkgpath string) *checker.Package {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := &types.Config{Importer: sourceImporter}
+	conf := &types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgpath, fset, files, info)
 	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", pkgpath, err)
+		return nil, err
 	}
-	return &checker.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info}
+	return &checker.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info}, nil
+}
+
+// A PackageDir is one directory of a module and the import path of the
+// package it holds.
+type PackageDir struct {
+	Dir, Path string
+}
+
+// ModuleDirs returns, in lexical order, root and every directory below it
+// that can hold a package of the module rooted there, whose module path
+// is modpath. Hidden directories, testdata, bin and nested modules hold
+// no package of the module and are skipped with everything below them.
+// Whether a directory holds Go files is left to the caller.
+func ModuleDirs(t *testing.T, root, modpath string) []PackageDir {
+	t.Helper()
+	var dirs []PackageDir
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != root {
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" || name == "bin" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		dirs = append(dirs, PackageDir{Dir: p, Path: path.Join(modpath, filepath.ToSlash(rel))})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 // A want is one expected-diagnostic annotation.

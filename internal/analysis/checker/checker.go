@@ -56,7 +56,8 @@ const allowName = "allow"
 //
 // A panicking analyzer is contained: the panic surfaces as a diagnostic
 // under the analyzer's own name at the package clause, so one buggy
-// analyzer degrades the run instead of crashing the whole vet invocation.
+// analyzer degrades the run instead of crashing the test that drives it,
+// and the other analyzers' findings survive.
 func Run(pkg *Package, analyzers []*analysis.Analyzer, known []string) ([]Diag, error) {
 	if err := analysis.Validate(analyzers); err != nil {
 		return nil, err
@@ -236,20 +237,4 @@ func governedLine(fset *token.FileSet, c *ast.Comment, lines []int) int {
 		return lines[i]
 	}
 	return 0
-}
-
-// Position formats d's position against fset, for diagnostics output.
-func Position(fset *token.FileSet, d Diag) token.Position {
-	return fset.Position(d.Pos)
-}
-
-// Qualifier returns a types.Qualifier that prints package names the way
-// diagnostics should: the bare package name, or nothing for pkg itself.
-func Qualifier(pkg *types.Package) types.Qualifier {
-	return func(other *types.Package) string {
-		if other == pkg {
-			return ""
-		}
-		return other.Name()
-	}
 }

@@ -2,32 +2,27 @@ package detlint
 
 import (
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"columbia/internal/analysis/analysistest"
 )
 
-func loadSrc(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Info, *types.Package) {
+// loadSrc type-checks src, an import-free file of package p.
+func loadSrc(t *testing.T, src string) (*ast.File, *types.Info, *types.Package) {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	name := filepath.Join(t.TempDir(), "p.go")
+	if err := os.WriteFile(name, []byte(src), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysistest.TypeCheck(token.NewFileSet(), "p", []string{name}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fset, f, info, pkg
+	return pkg.Files[0], pkg.Info, pkg.Pkg
 }
 
 func funcBody(f *ast.File, name string) *ast.FuncDecl {
@@ -55,7 +50,7 @@ func f() int {
 	return c
 }
 `
-	_, f, info, _ := loadSrc(t, src)
+	f, info, _ := loadSrc(t, src)
 	fd := funcBody(f, "f")
 	isSeed := func(e ast.Expr) bool {
 		call, ok := e.(*ast.CallExpr)
@@ -93,7 +88,7 @@ func gen[T any](v T) { leaf() }
 func leaf() {}
 func dead() {}
 `
-	_, f, info, pkg := loadSrc(t, src)
+	f, info, pkg := loadSrc(t, src)
 	decls := declIndex(info, []*ast.File{f})
 	rootFn, _ := pkg.Scope().Lookup("root").(*types.Func)
 	if rootFn == nil {

@@ -3,14 +3,13 @@ package ir_test
 import (
 	"flag"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"columbia/internal/analysis/analysistest"
 	"columbia/internal/analysis/ir"
 )
 
@@ -19,22 +18,12 @@ var update = flag.Bool("update", false, "rewrite the golden CFG dumps")
 // loadFixture parses and type-checks testdata/cfg.go once per test.
 func loadFixture(t *testing.T) (*token.FileSet, *ast.File, *types.Info) {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("testdata", "cfg.go"), nil, parser.ParseComments|parser.SkipObjectResolution)
+	// The fixture imports nothing, so it needs no importer.
+	pkg, err := analysistest.TypeCheck(token.NewFileSet(), "cfg", []string{filepath.Join("testdata", "cfg.go")}, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("loading fixture: %v", err)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := &types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
-	if _, err := conf.Check("cfg", fset, []*ast.File{f}, info); err != nil {
-		t.Fatalf("type-checking fixture: %v", err)
-	}
-	return fset, f, info
+	return pkg.Fset, pkg.Files[0], pkg.Info
 }
 
 func fixtureFunc(t *testing.T, f *ast.File, name string) *ast.FuncDecl {

@@ -11,7 +11,6 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -19,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"columbia/internal/analysis/analysistest"
 	"columbia/internal/analysis/detlint"
 	"columbia/internal/core"
 	"columbia/internal/dist"
@@ -110,56 +110,37 @@ func TestWireMarkers(t *testing.T) {
 
 // markedStructs parses every non-test Go file of the module under root and
 // returns the structs whose doc carries the //detlint:wire marker, keyed
-// "<pkgpath>.<Name>". Hidden directories, testdata, bin and nested modules
-// hold no package of this module.
+// "<pkgpath>.<Name>".
 func markedStructs(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	marked := make(map[string]bool)
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	for _, pd := range analysistest.ModuleDirs(t, root, modulePath) {
+		names, err := filepath.Glob(filepath.Join(pd.Dir, "*.go"))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d.IsDir() {
-			if p == root {
-				return nil
-			}
-			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" || name == "bin" {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		pkg := path.Join(modulePath, filepath.ToSlash(rel))
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					if _, ok := detlint.WireMarker(gd, ts); ok {
-						marked[pkg+"."+ts.Name.Name] = true
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if _, ok := detlint.WireMarker(gd, ts); ok {
+							marked[pd.Path+"."+ts.Name.Name] = true
+						}
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(marked) == 0 {
 		t.Fatalf("found no //detlint:wire struct under %s: the walk is broken", root)

@@ -15,17 +15,11 @@ fi
 echo "== go vet =="
 go vet ./...
 
-# Static analysis suite (internal/analysis/detlint, DESIGN.md §6): eight
-# analyzers guarding fingerprint coverage, wall-clock/map-order hazards,
-# exact float comparisons, conditional collectives, unmatched tags, lock
-# order, wire-field coverage and stop-token liveness, in one vettool.
-echo "== detlint analyzers =="
-go build -o bin/detlint ./cmd/detlint
-go vet -vettool=bin/detlint ./...
-
 echo "== go build =="
 go build ./...
 
+# The tests include TestLint, which runs the detlint suite (DESIGN.md §6)
+# over every package of the module, here and in the -race pass below.
 echo "== go test =="
 go test -timeout 15m ./...
 
