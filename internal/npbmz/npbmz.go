@@ -112,8 +112,10 @@ func Decompose(p Params, uneven bool) []Zone {
 }
 
 // Balance assigns zones to procs with the NPB-MZ load balancer: zones in
-// decreasing size order onto the least-loaded process. It returns the
-// assignment (zone -> proc) and per-proc point loads.
+// decreasing size order onto the least-loaded process, ties to the lowest
+// proc id. It returns the assignment (zone -> proc) and per-proc point
+// loads. A min-heap of procs keyed by (load, proc) makes each pick
+// O(log procs).
 func Balance(zones []Zone, procs int) (assign []int, loads []float64) {
 	if procs < 1 {
 		panic("npbmz: need at least one process")
@@ -131,17 +133,44 @@ func Balance(zones []Zone, procs int) (assign []int, loads []float64) {
 	})
 	assign = make([]int, len(zones))
 	loads = make([]float64, procs)
+	// Every load starts at zero, so procs in id order already form a heap.
+	h := make([]int, procs)
+	for i := range h {
+		h[i] = i
+	}
 	for _, z := range order {
-		best := 0
-		for k := 1; k < procs; k++ {
-			if loads[k] < loads[best] {
-				best = k
-			}
-		}
+		best := h[0]
 		assign[z] = best
 		loads[best] += zones[z].Points()
+		siftDownLoad(h, loads)
 	}
 	return assign, loads
+}
+
+// siftDownLoad restores the (load, proc) min-heap order of h after the
+// load of its root proc grew.
+func siftDownLoad(h []int, loads []float64) {
+	// Loads are sums of the same zone point counts, accumulated in the
+	// same order on every run, so equal loads compare exactly; the id
+	// tie-break then reproduces a linear scan's first strict minimum.
+	less := func(a, b int) bool {
+		return loads[a] < loads[b] || (loads[a] == loads[b] && a < b)
+	}
+	i := 0
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && less(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && less(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Imbalance returns maxLoad/avgLoad of a Balance result.

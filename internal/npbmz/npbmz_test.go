@@ -2,6 +2,8 @@ package npbmz
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +89,72 @@ func TestBalanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// balanceScan is the reference balancer Balance's heap replaces: the same
+// size order, with an O(procs) scan for the first least-loaded proc.
+func balanceScan(zones []Zone, procs int) (assign []int, loads []float64) {
+	order := make([]int, len(zones))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		pa, pb := zones[order[a]].Points(), zones[order[b]].Points()
+		if pa != pb {
+			return pa > pb
+		}
+		return order[a] < order[b]
+	})
+	assign = make([]int, len(zones))
+	loads = make([]float64, procs)
+	for _, z := range order {
+		best := 0
+		for k := 1; k < procs; k++ {
+			if loads[k] < loads[best] {
+				best = k
+			}
+		}
+		assign[z] = best
+		loads[best] += zones[z].Points()
+	}
+	return assign, loads
+}
+
+// TestBalanceMatchesScan: the heap balancer makes the scan's every pick,
+// ties included, so assignments and loads are identical bit for bit. Small
+// zone extents make equal zone sizes and equal loads common.
+func TestBalanceMatchesScan(t *testing.T) {
+	check := func(name string, zones []Zone, procs int) {
+		t.Helper()
+		gotA, gotL := Balance(zones, procs)
+		wantA, wantL := balanceScan(zones, procs)
+		for z := range wantA {
+			if gotA[z] != wantA[z] {
+				t.Fatalf("%s, %d procs: zone %d on proc %d, scan puts it on %d", name, procs, z, gotA[z], wantA[z])
+			}
+		}
+		for p := range wantL {
+			if gotL[p] != wantL[p] {
+				t.Fatalf("%s, %d procs: proc %d load %v, scan %v", name, procs, p, gotL[p], wantL[p])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 60; i++ {
+		zones := make([]Zone, 1+rng.Intn(600))
+		for id := range zones {
+			zones[id] = Zone{ID: id, Nx: 1 + rng.Intn(6), Ny: 1 + rng.Intn(6), Nz: 1 + rng.Intn(3)}
+		}
+		check("random", zones, 1+rng.Intn(2048))
+	}
+	for _, class := range []npb.Class{npb.ClassB, npb.ClassC, npb.ClassE} {
+		for _, uneven := range []bool{false, true} {
+			zones := Decompose(Classes[class], uneven)
+			for _, procs := range []int{1, 2, 3, 16, 63, 64, 256, 512, 2048} {
+				check(string(class), zones, procs)
+			}
+		}
 	}
 }
 

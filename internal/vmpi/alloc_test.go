@@ -12,12 +12,12 @@ import (
 // engine-local free list (released back on receive), mailbox queues reuse
 // their ring storage, and heap events live in a reused slice. These tests
 // pin the steady-state allocation budgets so a regression (a forgotten
-// release, a per-event allocation sneaking into yield, next or handoff)
-// fails loudly.
+// release, a per-event allocation sneaking into yield, next or the driver
+// loop) fails loudly.
 //
 // The per-operation budgets use the delta technique: run the same program
 // with K and 2K operations and attribute the difference to the extra K.
-// Fixed per-run costs — rank goroutines, the mailbox index, result
+// Fixed per-run costs — comm handles, the mailbox index, result
 // assembly — appear in both runs and cancel, leaving the marginal
 // per-operation rate. TestAllocBudgetWarmRun pins that fixed cost itself.
 //
@@ -31,11 +31,11 @@ import (
 //	one-way burst per message    — 0 allocs: the sender outruns the
 //	  receiver, but the free list keeps the message structs of earlier
 //	  runs, so in-flight messages reuse them.
-//	warm run, fixed cost         — 8 + 3 per rank: the engine, its done
-//	  channel, the network model, the placement (4 objects) and the
-//	  result's stats slice; per rank, the two closures that start its
-//	  goroutine and its comm handle. The scratch itself (rank records,
-//	  mailboxes, free lists) comes back from the pool or arena.
+//	warm run, fixed cost         — 7 + 1 per rank: the engine, the
+//	  network model, the placement (4 objects) and the result's stats
+//	  slice; per rank, its comm handle. The scratch itself (rank records
+//	  with their parked coroutines, mailboxes, free lists) comes back from
+//	  the pool or arena.
 
 // allocRun measures total allocations for one engine run of fn.
 func allocRun(t *testing.T, procs int, fn func(par.Comm)) float64 {
@@ -113,9 +113,9 @@ func TestAllocBudgetBurst(t *testing.T) {
 // TestAllocBudgetWarmRun pins a warm run's fixed cost, which the delta
 // budgets cancel out, on both ways a run gets its scratch: the
 // process-wide scratchPool and an arena installed with WithArena.
-// AllocsPerRun's warm-up run grows the scratch, so rank records and
-// mailbox storage are not counted; one more object per run on either
-// path fails.
+// AllocsPerRun's warm-up run grows the scratch, so rank records, their
+// coroutines and mailbox storage are not counted; one more object per run
+// on either path fails.
 func TestAllocBudgetWarmRun(t *testing.T) {
 	cl := machine.NewSingleNode(machine.Altix3700)
 	allreduce := func(c par.Comm) { par.AllreduceBytes(c, 1024) }
@@ -126,10 +126,10 @@ func TestAllocBudgetWarmRun(t *testing.T) {
 		procs  int
 		budget float64
 	}{
-		{"pool/2", context.Background(), 2, 14},
-		{"pool/8", context.Background(), 8, 32},
-		{"arena/2", arena, 2, 14},
-		{"arena/8", arena, 8, 32},
+		{"pool/2", context.Background(), 2, 9},
+		{"pool/8", context.Background(), 8, 15},
+		{"arena/2", arena, 2, 9},
+		{"arena/8", arena, 8, 15},
 	} {
 		run := func() {
 			if _, err := RunCtx(c.ctx, Config{Cluster: cl, Procs: c.procs}, allreduce); err != nil {

@@ -2,6 +2,7 @@ package vmpi
 
 import (
 	"context"
+	"runtime"
 	"sync"
 )
 
@@ -22,6 +23,11 @@ import (
 // runs one point at a time. Concurrent runs under the same arena are safe
 // but pointless: whoever acquires first gets the scratch, everyone else
 // falls through to the process-wide pool.
+//
+// The held scratch keeps its rank coroutines parked. When the arena itself
+// becomes unreachable, a finalizer halts them; a parked coroutine never
+// references its arena, so the arena can become unreachable while they
+// live. Create arenas with NewArena, which installs that finalizer.
 type Arena struct {
 	mu  sync.Mutex
 	scr *engineScratch
@@ -29,7 +35,18 @@ type Arena struct {
 
 // NewArena returns an empty arena; its first run builds the scratch the
 // arena then keeps recycling.
-func NewArena() *Arena { return &Arena{} }
+func NewArena() *Arena {
+	a := &Arena{}
+	runtime.SetFinalizer(a, (*Arena).release)
+	return a
+}
+
+// release halts the coroutines of the scratch a dropped arena still holds.
+func (a *Arena) release() {
+	if s := a.take(); s != nil {
+		s.dropRanks(0)
+	}
+}
 
 // take detaches the arena's scratch, or returns nil when it is empty or
 // checked out.

@@ -15,8 +15,8 @@ import "sync"
 // mutex-guarded LIFO keeps instances alive for the life of the process;
 // Get/Put run once per engine run (not per message), so the lock is
 // nowhere near any hot path. The list is capped: the steady state holds
-// about as many instances as the peak number of concurrent runs, and
-// anything beyond the cap is dropped for the GC.
+// about as many instances as the peak number of concurrent runs, and Put
+// refuses anything beyond the cap, for the caller to release.
 //
 // Like FreeList, Put does not zero the struct — the whole point is to keep
 // grown slices, maps and channels warm — so the caller must reset whatever
@@ -45,15 +45,18 @@ func (p *SharedPool[T]) Get() *T {
 	return new(T)
 }
 
-// Put recycles v for a later Get. nil is ignored; when the pool is already
-// at capacity v is left to the GC.
-func (p *SharedPool[T]) Put(v *T) {
+// Put recycles v for a later Get and reports whether the pool took it. nil
+// is ignored; when the pool is already at capacity Put returns false and v
+// stays the caller's, to release whatever it holds.
+func (p *SharedPool[T]) Put(v *T) bool {
 	if v == nil {
-		return
+		return false
 	}
 	p.mu.Lock()
-	if len(p.free) < sharedPoolCap {
-		p.free = append(p.free, v)
+	defer p.mu.Unlock()
+	if len(p.free) >= sharedPoolCap {
+		return false
 	}
-	p.mu.Unlock()
+	p.free = append(p.free, v)
+	return true
 }

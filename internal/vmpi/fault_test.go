@@ -185,11 +185,18 @@ func TestFaultCancellationStopsRun(t *testing.T) {
 
 // TestFaultShutdownLeavesNoGoroutines: however a run ends — cleanly, in a
 // deadlock, a rank panic, a sanitizer or link-down failure, a canceled
-// context or a blown deadline — no rank goroutine outlives it, under either
-// engine. A run that fails with ranks still parked must resume each of them
-// to unwind (shutdown); one that skips that leaks them silently, because a
-// parked rank never touches the engine again, so neither the results nor
-// the race detector can tell. Only the goroutine count does.
+// context or a blown deadline — no rank coroutine outlives the scratch
+// that owns it, under either engine. A clean run parks its ranks'
+// coroutines in the recycled scratch for the next run, so a repeat of the
+// same clean run adds none; a failed run drops its scratch and must halt
+// every coroutine in it first (stop), including ranks parked mid-program.
+// One that skips that leaks them silently, because a parked coroutine never
+// touches the engine again, so neither the results nor the race detector
+// can tell. Only the goroutine count does.
+//
+// The subtests after the engine loop cover the other ways a scratch or a
+// rank record is dropped: recycle's trim to max(P, idleRanksMin), a full
+// scratch pool refusing a scratch, and an arena the GC finds unreachable.
 func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 	const clean ErrorKind = -1
 	single := machine.NewSingleNode(machine.Altix3700)
@@ -215,6 +222,9 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 			}
 			c.Barrier()
 		}, ErrPanic},
+		// The unmatched send fails the run at Finalize, after every rank
+		// has finished: no rank is left to unwind, but the scratch is still
+		// dropped with every coroutine parked in it.
 		{"sanitizer", Config{Cluster: single, Procs: 2, Sanitize: true}, 0, func(c par.Comm) {
 			if c.Rank() == 0 {
 				c.SendBytes(1, 5, 64) // never received
@@ -229,17 +239,27 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 	for _, eng := range []Engine{EngineCalendar, EngineGoroutine} {
 		for _, c := range cases {
 			t.Run(string(eng)+"/"+c.name, func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				ctx, cancel := WithEngine(context.Background(), eng), func() {}
-				switch {
-				case c.timeout > 0:
-					ctx, cancel = context.WithTimeout(ctx, c.timeout)
-				case c.timeout < 0:
-					ctx, cancel = context.WithCancel(ctx)
-					cancel()
+				run := func() error {
+					ctx, cancel := WithEngine(context.Background(), eng), func() {}
+					switch {
+					case c.timeout > 0:
+						ctx, cancel = context.WithTimeout(ctx, c.timeout)
+					case c.timeout < 0:
+						ctx, cancel = context.WithCancel(ctx)
+						cancel()
+					}
+					defer cancel()
+					_, err := RunCtx(ctx, c.cfg, c.fn)
+					return err
 				}
-				_, err := RunCtx(ctx, c.cfg, c.fn)
-				cancel()
+				if c.want == clean {
+					// The first run may build coroutines the pool then keeps.
+					if err := run(); err != nil {
+						t.Fatalf("warm-up run failed: %v", err)
+					}
+				}
+				before := runtime.NumGoroutine()
+				err := run()
 				var re *RunError
 				switch {
 				case c.want == clean && err != nil:
@@ -247,17 +267,90 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 				case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
 					t.Fatalf("err = %v, want a %s RunError", err, c.want)
 				}
-				// A rank that handed control away may not have returned from
-				// its goroutine yet; give the exits a moment.
-				after := runtime.NumGoroutine()
-				for deadline := time.After(2 * time.Second); after > before; after = runtime.NumGoroutine() {
-					select {
-					case <-deadline:
-						t.Fatalf("%s: %d goroutines before, %d after", c.name, before, after)
-					case <-time.After(time.Millisecond):
-					}
-				}
+				awaitGoroutines(t, c.name, before)
 			})
+		}
+	}
+
+	barrier := func(c par.Comm) { c.Barrier() }
+	t.Run("pool-full", func(t *testing.T) {
+		// A clean run whose scratch the full pool refuses must halt the
+		// scratch's coroutines before leaving it to the GC. The count
+		// alone could be masked by an unrelated arena's finalizer halting
+		// coroutines meanwhile, so the scratch is checked directly too.
+		e, err := newEngine(Config{Cluster: single, Procs: 4}, EngineCalendar, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.run(context.Background(), barrier); err != nil {
+			t.Fatal(err)
+		}
+		s := e.scr
+		before, owned := runtime.NumGoroutine(), len(s.ranks)
+		var fillers int
+		for scratchPool.Put(new(engineScratch)) {
+			fillers++
+		}
+		e.recycle()
+		for ; fillers > 0; fillers-- {
+			scratchPool.Get() // LIFO: exactly the fillers come back
+		}
+		if len(s.ranks) != 0 {
+			t.Errorf("refused scratch still holds %d rank records", len(s.ranks))
+		}
+		awaitGoroutines(t, "pool-full", before-owned)
+	})
+	t.Run("trim", func(t *testing.T) {
+		// A 1,024-rank run followed by a 4-rank run on the same scratch:
+		// the 4-rank run's recycle keeps idleRanksMin rank records and
+		// halts the other coroutines.
+		a := NewArena()
+		ctx := WithArena(context.Background(), a)
+		before := runtime.NumGoroutine()
+		for _, cfg := range []Config{
+			{Cluster: machine.NewBX2bQuad(), Procs: 1024},
+			{Cluster: single, Procs: 4},
+		} {
+			if _, err := RunCtx(ctx, cfg, barrier); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(a.scr.ranks); n > idleRanksMin {
+			t.Errorf("scratch keeps %d rank records after a 4-rank run, want at most %d", n, idleRanksMin)
+		}
+		awaitGoroutines(t, "trim", before+idleRanksMin)
+	})
+	t.Run("arena-dropped", func(t *testing.T) {
+		// An arena that goes out of reach takes its scratch with it; its
+		// finalizer halts the scratch's coroutines. One collection queues
+		// the finalizer.
+		before, owned := func() (int, int) {
+			a := NewArena()
+			if _, err := RunCtx(WithArena(context.Background(), a), Config{Cluster: single, Procs: 4}, barrier); err != nil {
+				t.Fatal(err)
+			}
+			return runtime.NumGoroutine(), len(a.scr.ranks)
+		}()
+		runtime.GC()
+		awaitGoroutines(t, "arena-dropped", before-owned)
+	})
+}
+
+// awaitGoroutines fails the test unless the goroutine count falls to at
+// most want within two seconds; a halted coroutine exits at once, and a
+// queued finalizer runs soon after the collection that queued it.
+func awaitGoroutines(t *testing.T, name string, want int) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("%s: %d goroutines, want at most %d", name, got, want)
+		case <-time.After(time.Millisecond):
 		}
 	}
 }

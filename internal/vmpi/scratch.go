@@ -3,24 +3,29 @@ package vmpi
 import "columbia/internal/vmpi/calendar"
 
 // engineScratch is the allocation-heavy state of one engine run — rank
-// records with their goroutine-parking channels, the run's mailboxes and
-// their index, the pooled message free list, the event calendar and the
-// per-node occupancy clocks. A fresh engine used to rebuild all of it per
-// run, which put ~2M short-lived objects per sweep point on the GC; now a
-// completed run resets and recycles its scratch instead, so a steady-state
-// sweep re-runs configurations almost entirely inside warm storage.
+// records with their coroutines, the run's mailboxes and their index, the
+// pooled message free list, the event calendar and the per-node occupancy
+// clocks. A fresh engine used to rebuild all of it per run, which put ~2M
+// short-lived objects per sweep point on the GC; now a completed run
+// resets and recycles its scratch instead, so a steady-state sweep re-runs
+// configurations almost entirely inside warm storage.
 //
 // Scratches travel through a calendar.SharedPool: a run owns its scratch
 // exclusively from newEngine until recycle, so concurrent sweep leaves
 // each operate on private storage and never bounce cache lines through
 // per-message shared state — the pool's lock is taken twice per run, not
 // per operation. Only clean completions recycle; errored or canceled runs
-// drop theirs, because their mailboxes and rank goroutines are not
-// provably quiescent.
+// drop theirs, because their mailboxes and rank programs are not provably
+// quiescent.
+//
+// Every rank record owns a parked coroutine, so whatever drops a scratch
+// or a record halts its coroutine first (dropRanks): a failed run (stop),
+// the trim in recycle, a full pool, and an arena the GC finds unreachable.
+// Nothing else ends a parked coroutine.
 type engineScratch struct {
-	// ranks grows monotonically; a run slices off the prefix it needs, so
-	// the resume channels of past runs stay warm. Rank ids equal indices
-	// and never change.
+	// ranks grows with the largest run and shrinks in recycle's trim; a
+	// run slices off the prefix it needs, so the coroutines of past runs
+	// stay warm. Rank ids equal indices and never change.
 	ranks []*rankState
 	// mail holds this run's mailboxes. Only their storage outlives the
 	// run: acquireScratch empties the set, so a run never sees, probes or
@@ -212,12 +217,20 @@ func (s *engineScratch) copyPayload(data []float64) []float64 {
 // leaves; every run without an arena draws from it.
 var scratchPool calendar.SharedPool[engineScratch]
 
+// idleRanksMin is how many rank records, each with its parked coroutine,
+// a clean run's scratch keeps beyond its own rank count: recycle trims the
+// scratch to max(P, idleRanksMin). 276 of the paper sweep's 311 engine
+// runs have at most 256 ranks, so they never re-create a coroutine (about
+// 12 allocations each); keeping all 2,048 of the one largest run instead
+// raised the sweep's peak RSS by 12%, and trimming to P alone churned.
+const idleRanksMin = 256
+
 // acquireScratch draws a scratch — from the run's arena when the caller
 // installed one (WithArena), else the process-wide pool — and readies it
 // for a run of procs ranks on a cluster of nodes boxes. Missing rank
-// records are created; existing ones are reset but keep their parking
-// channel. The previous run's mailboxes are retired in O(1), whatever its
-// size; only their storage carries over.
+// records are created with their coroutines; existing ones are reset but
+// keep theirs. The previous run's mailboxes are retired in O(1), whatever
+// its size; only their storage carries over.
 //
 // The scratch pool owns the per-rank records; growing them here is how reuse amortizes them.
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -226,10 +239,7 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 		s = scratchPool.Get()
 	}
 	for len(s.ranks) < procs {
-		s.ranks = append(s.ranks, &rankState{
-			id:     len(s.ranks),
-			resume: make(chan struct{}),
-		})
+		s.ranks = append(s.ranks, newRank(len(s.ranks)))
 	}
 	for _, r := range s.ranks[:procs] {
 		r.reset()
@@ -242,18 +252,22 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 }
 
 // recycle drains the run's leftover state back into the scratch and returns
-// it to the pool. Only called after a clean completion, when every rank
-// goroutine has exited: unmatched messages may legally remain queued (the
-// sanitizer is what forbids them, and it fails the run instead), so the
-// mailboxes this run created — and only those — are emptied in creation
-// order, and the structs go back to the free list with payloads dropped,
-// so no stale data can leak into a later run.
+// it to the pool. Only called after a clean completion, when every rank's
+// program has returned and its coroutine is parked between runs: unmatched
+// messages may legally remain queued (the sanitizer is what forbids them,
+// and it fails the run instead), so the mailboxes this run created — and
+// only those — are emptied in creation order, and the structs go back to
+// the free list with payloads dropped, so no stale data can leak into a
+// later run.
 func (e *engine) recycle() {
 	s := e.scr
 	if s == nil {
 		return
 	}
 	e.scr = nil
+	for _, r := range e.ranks {
+		r.e = nil
+	}
 	for i := range s.mail.boxes {
 		q := &s.mail.boxes[i].q
 		for q.Len() > 0 {
@@ -262,17 +276,30 @@ func (e *engine) recycle() {
 			s.msgs.Put(m)
 		}
 	}
+	if keep := max(len(e.ranks), idleRanksMin); len(s.ranks) > keep {
+		s.dropRanks(keep)
+	}
 	// Scratches go home: an arena-backed run refills its own arena, and
 	// every other run (or a surplus concurrent one) feeds the process-wide
-	// pool.
-	if !e.arena.put(s) {
-		scratchPool.Put(s)
+	// pool. One that neither takes is left to the GC, coroutines halted.
+	if !e.arena.put(s) && !scratchPool.Put(s) {
+		s.dropRanks(0)
 	}
 }
 
-// reset readies a pooled rank record for its next run. id and resume are
-// immutable across runs; the record holds no mailboxes — those belong to
-// the run (engineScratch.mail).
+// dropRanks halts the coroutines of the rank records from index from on and
+// removes those records from the scratch.
+func (s *engineScratch) dropRanks(from int) {
+	for i, r := range s.ranks[from:] {
+		r.halt()
+		s.ranks[from+i] = nil
+	}
+	s.ranks = s.ranks[:from]
+}
+
+// reset readies a pooled rank record for its next run. id and the
+// coroutine are immutable across runs; the record holds no mailboxes —
+// those belong to the run (engineScratch.mail).
 func (r *rankState) reset() {
 	r.now = 0
 	r.compute = 0

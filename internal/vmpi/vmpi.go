@@ -7,7 +7,7 @@
 //
 // # Simulation semantics
 //
-// Ranks are goroutines scheduled cooperatively: exactly one runs at a time,
+// Ranks are coroutines scheduled cooperatively: exactly one runs at a time,
 // and the engine always resumes the runnable rank with the smallest virtual
 // clock, so execution is deterministic. Sends are buffered
 // (asynchronous-complete): the sender pays an initiation overhead and
@@ -30,14 +30,15 @@
 //
 // # Execution engines
 //
-// Every run passes control between its rank goroutines the same way: the
-// rank that yields picks the next rank itself (next) and resumes it
-// directly (handoff) — one channel operation per switch, none when the
-// yielder is picked again. Two engines differ only in how next makes that
-// pick, and are guaranteed — by the differential suite in internal/core
-// and the FuzzEngineEquivalence fuzz target — to pick identically. RunCtx
-// uses the calendar engine unless its context selects the other with
-// WithEngine:
+// Every run passes control between its ranks the same way, without the Go
+// scheduler: each rank is an iter.Pull coroutine, pooled with its rank
+// record, and run's driver loop wakes the rank picked last. The rank that
+// yields makes the pick itself (next), records it and parks back to the
+// driver — two coroutine switches per rank change, none when the yielder
+// is picked again. Two engines differ only in how next makes that pick,
+// and are guaranteed — by the differential suite in internal/core and the
+// FuzzEngineEquivalence fuzz target — to pick identically. RunCtx uses the
+// calendar engine unless its context selects the other with WithEngine:
 //
 //   - EngineCalendar (the default) pops a pooled event calendar: an
 //     O(log P) min-heap of (time, rank) wake events with lazy invalidation,
@@ -51,7 +52,8 @@
 // run's scratch (mailIndex), retired wholesale when the next run starts,
 // so a lookup never probes another run's keys.
 //
-// See DESIGN.md §8 for the equivalence contract.
+// The coroutines need a go1.23 toolchain, although go.mod says go 1.22;
+// see coro.go. See DESIGN.md §8 for the equivalence contract.
 package vmpi
 
 import (
@@ -79,9 +81,9 @@ const AnySource = -1
 const sendOverheadFrac = 0.35
 
 // Engine selects how a simulation picks the next rank to run. The engines
-// share everything else — the rank goroutines, the direct handoff between
-// them, the timing model — and differ only in that pick, so they produce
-// byte-identical results. See the package comment.
+// share everything else — the pooled rank coroutines, the driver loop that
+// wakes them, the timing model — and differ only in that pick, so they
+// produce byte-identical results. See the package comment.
 type Engine string
 
 const (
@@ -91,7 +93,8 @@ const (
 	// EngineGoroutine picks by scanning every rank for the smallest clock,
 	// ties to the lowest id. It is kept as the executable specification
 	// of the calendar's picks for differential testing; the name survives
-	// from when it also had a central scheduler goroutine of its own.
+	// from when its ranks ran as goroutines under a central scheduler
+	// goroutine of its own.
 	EngineGoroutine Engine = "goroutine"
 )
 
@@ -233,9 +236,15 @@ type rankState struct {
 	compute float64
 	comm    float64
 	status  status
-	// resume wakes the rank's parked goroutine: handoff sends on it when
-	// next picks the rank, and shutdown when the run is torn down.
-	resume chan struct{}
+	// The rank's pooled coroutine (newRank): run's driver loop calls wake
+	// to resume the rank, the rank calls park to hand control back, and
+	// halt ends the coroutine when the record leaves its scratch. e is the
+	// run the coroutine serves, set by newEngine and cleared by recycle, so
+	// a parked coroutine references neither the engine nor its arena.
+	wake func() (struct{}, bool)
+	park func(struct{}) bool
+	halt func()
+	e    *engine
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
@@ -271,10 +280,8 @@ type engine struct {
 	// arena, when non-nil, is where this run's scratch came from and where
 	// recycle returns it (runs under WithArena).
 	arena *Arena
-	// runErr records the first rank failure; stopping tells resumed ranks
-	// to unwind via stopToken so shutdown leaks no goroutines.
-	runErr   *RunError
-	stopping bool
+	// runErr records the first rank failure.
+	runErr *RunError
 	// msgs pools message structs: the hot send/recv path reuses them
 	// instead of allocating one per simulated message. Payload slices are
 	// never pooled — ownership transfers to the receiving program. It lives
@@ -286,20 +293,22 @@ type engine struct {
 	scr *engineScratch
 	// Scheduling state. cal selects the calendar engine, whose heap orders
 	// wake events by (time, rank); ctx is the run's context, checked at
-	// every pick; active counts unfinished ranks; done wakes the caller
-	// blocked in run — once when the run ends (completion or first error),
-	// then once per rank that unwinds during shutdown. All fields are
-	// guarded by the strict one-runner-at-a-time handoff discipline —
-	// channel operations order every access.
+	// every pick; fn is the rank program; active counts unfinished ranks;
+	// picked is the rank the driver loop wakes next, recorded by the rank
+	// that parked last (nil: the run is over). Exactly one of the driver
+	// and the rank coroutines runs at a time, and coroutine switches order
+	// every access.
 	cal    bool
 	ctx    context.Context
+	fn     func(par.Comm)
 	heap   *calendar.Heap
 	active int
-	done   chan struct{}
+	picked *rankState
 }
 
-// stopToken unwinds a rank goroutine during shutdown; the recover handler
-// recognizes it and does not record it as a rank panic.
+// stopToken unwinds a rank parked mid-program when stop halts its
+// coroutine; the recover handler recognizes it and does not record it as a
+// rank panic.
 type stopToken struct{}
 
 // Run simulates fn on cfg.Procs ranks and returns the virtual-time result.
@@ -323,8 +332,8 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 
 // RunCtx is TryRun under a context: cancellation or a deadline stops the
 // simulation at its next scheduling step (every compute or communication
-// operation is one), shuts every rank goroutine down cleanly, and returns
-// an ErrCanceled or ErrTimeout RunError. Rank programs that loop without
+// operation is one), unwinds every rank cleanly, and returns an
+// ErrCanceled or ErrTimeout RunError. Rank programs that loop without
 // ever touching their Comm cannot be preempted; none of the workloads in
 // this repository do that. The context also carries the run's engine
 // (WithEngine) and scratch arena (WithArena).
@@ -333,40 +342,28 @@ func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	e.spawn(fn)
-	res, err := e.run(ctx)
-	if err == nil {
-		// Every rank goroutine has exited; hand the run's storage back to
-		// the scratch pool so the next run starts warm. Failed or canceled
-		// runs drop theirs — cheap, and provably safe.
-		e.recycle()
+	res, err := e.run(ctx, fn)
+	if err != nil {
+		e.stop()
+		return Result{}, err
 	}
-	return res, err
+	// Every rank's program has returned; hand the run's storage back so the
+	// next run starts warm, coroutines included.
+	e.recycle()
+	return res, nil
 }
 
-// spawn starts one goroutine per rank, parked until its first resume. The
-// goroutines are the rank programs' coroutine stacks; control passes between
-// them only through handoff, and a rank that exits hands it on in rankExit.
-func (e *engine) spawn(fn func(par.Comm)) {
-	for i := range e.ranks {
-		r := e.ranks[i]
-		go func(r *rankState) {
-			//detlint:allow chanlive parked ranks are woken by the shutdown broadcast, which resumes every rank before stopping is checked
-			<-r.resume
-			defer e.rankExit(r)
-			if e.stopping {
-				panic(stopToken{})
-			}
-			fn(&comm{e: e, r: r})
-		}(r)
-	}
+// exec runs the program as rank r; it is the body of one turn of r's
+// coroutine loop.
+func (e *engine) exec(r *rankState) {
+	defer e.rankExit(r)
+	e.fn(&comm{e: e, r: r})
 }
 
-// rankExit is the deferred tail of every rank goroutine: it converts rank
-// panics into the run's error (stopToken unwinding excepted) and marks the
-// rank done. A rank unwinding during shutdown acknowledges on done; any
-// other hands control to the next rank, or to the caller when the run is
-// over.
+// rankExit is the deferred tail of every rank program: it converts rank
+// panics into the run's error (stopToken unwinding excepted), marks the
+// rank done and records the next pick for the driver loop. A rank that
+// stop unwinds finds the run already failed, so next returns nil.
 func (e *engine) rankExit(r *rankState) {
 	if p := recover(); p != nil {
 		if _, stop := p.(stopToken); !stop && e.runErr == nil {
@@ -379,20 +376,18 @@ func (e *engine) rankExit(r *rankState) {
 		}
 	}
 	r.status = stDone
-	if e.stopping {
-		e.done <- struct{}{}
-		return
-	}
 	e.active--
-	e.handoff(e.next())
+	e.picked = e.next()
 }
 
-// run is the caller's side of a simulation: it seeds the calendar with
-// every rank's start event (calendar engine only), resumes the first rank,
-// and blocks until a rank signals the end of the run. Every later pick
-// happens on the rank goroutines themselves (yield, rankExit).
-func (e *engine) run(ctx context.Context) (Result, error) {
+// run is the driver loop of a simulation: it seeds the calendar with every
+// rank's start event (calendar engine only), then wakes the picked rank's
+// coroutine until no pick is left. The first pick is made here; every
+// later one by the rank that parks (yield, rankExit). A failed run returns
+// with ranks still parked mid-program, for RunCtx to stop.
+func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	e.ctx = ctx
+	e.fn = fn
 	e.active = len(e.ranks)
 	if e.cal {
 		for _, r := range e.ranks {
@@ -401,12 +396,11 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	}
 	// next checks the context, so an already-canceled run fails before its
 	// first rank executes.
-	if first := e.next(); first != nil {
-		e.handoff(first)
-		<-e.done
+	for r := e.next(); r != nil; r = e.picked {
+		r.status = stRunning
+		r.wake()
 	}
 	if e.runErr != nil {
-		e.shutdown()
 		return Result{}, e.runErr
 	}
 	if e.san != nil {
@@ -452,48 +446,30 @@ func (e *engine) next() *rankState {
 	return r
 }
 
-// handoff is the one place a rank is resumed outside shutdown: it marks r
-// running and wakes it, or — when r is nil because next found the run over
-// — wakes the caller blocked in run.
-func (e *engine) handoff(r *rankState) {
-	if r == nil {
-		e.done <- struct{}{}
-		return
-	}
-	r.status = stRunning
-	r.resume <- struct{}{}
-}
-
-// yield parks the calling rank until next picks it again. The yielder makes
-// the pick itself: when it is picked again it just keeps running — zero
-// channel operations — and otherwise it hands control on and blocks. When
-// the run is over, the handoff wakes the caller and the yielder stays
-// parked until shutdown unwinds it.
+// yield suspends the calling rank until next picks it again. The yielder
+// makes the pick itself: when it is picked again it just keeps running —
+// no coroutine switch — and otherwise it records the pick and parks back
+// to the driver loop. When the run is over (a nil pick), the yielder stays
+// parked until stop halts its coroutine, and then unwinds.
 func (e *engine) yield(r *rankState) {
 	next := e.next()
 	if next == r {
 		r.status = stRunning
 		return
 	}
-	e.handoff(next)
-	<-r.resume
-	if e.stopping {
+	e.picked = next
+	if !r.park(struct{}{}) {
 		panic(stopToken{})
 	}
 }
 
-// shutdown resumes every live rank with stopping set so it unwinds through
-// stopToken, and waits for each to acknowledge on done (rankExit); after it
-// returns no rank goroutine is left behind.
-func (e *engine) shutdown() {
-	e.stopping = true
-	for _, r := range e.ranks {
-		if r.status == stDone {
-			continue
-		}
-		r.resume <- struct{}{}
-		<-e.done
-	}
+// stop halts every coroutine of a failed run's scratch — ranks parked
+// mid-program unwind through stopToken, idle ones just end — and drops the
+// scratch, whose mailboxes may still hold undelivered traffic. Afterwards
+// no coroutine of the run is left behind.
+func (e *engine) stop() {
+	e.scr.dropRanks(0)
+	e.scr = nil
 }
 
 // calPush schedules rank r to be pickable at virtual time at, superseding
@@ -556,7 +532,6 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 		cal:        eng == EngineCalendar,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
-		done:       make(chan struct{}),
 	}
 	if cfg.Sanitize {
 		e.san = commsan.New(cfg.Procs)
@@ -596,21 +571,25 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 			e.subPlace[i] = machine.NewPlacement(cfg.Cluster, locs[i*e.threads:(i+1)*e.threads])
 		}
 	}
-	// All error returns are behind us: draw the run's allocation-heavy
-	// state (rank records, mailboxes, message pool, calendar, occupancy
-	// clocks) from the caller's arena or the scratch pool instead of
-	// rebuilding it.
-	e.arena = arena
-	e.scr = acquireScratch(arena, cfg.Procs, len(cfg.Cluster.Nodes))
-	e.ranks = e.scr.ranks[:cfg.Procs]
-	e.msgs = &e.scr.msgs
-	e.heap = &e.scr.heap
-	e.linkBusy = e.scr.linkBusy
-	e.fabricBusy = e.scr.fabricBusy
 	// Representative latency for the barrier tree: the span of the job.
 	a := e.slot(0, 0)
 	b := e.slot(cfg.Procs-1, 0)
 	e.barrierLat = e.net.Latency(a, b)
+	// Nothing below can fail or panic, so the scratch drawn here always
+	// reaches run and then stop or recycle, which halt or keep its
+	// coroutines. Draw the run's allocation-heavy state (rank records,
+	// mailboxes, message pool, calendar, occupancy clocks) from the
+	// caller's arena or the scratch pool instead of rebuilding it.
+	e.arena = arena
+	e.scr = acquireScratch(arena, cfg.Procs, len(cfg.Cluster.Nodes))
+	e.ranks = e.scr.ranks[:cfg.Procs]
+	for _, r := range e.ranks {
+		r.e = e
+	}
+	e.msgs = &e.scr.msgs
+	e.heap = &e.scr.heap
+	e.linkBusy = e.scr.linkBusy
+	e.fabricBusy = e.scr.fabricBusy
 	return e, nil
 }
 
