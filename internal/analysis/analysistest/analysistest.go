@@ -52,18 +52,6 @@ var sourceImporter = importer.ForCompiler(token.NewFileSet(), "source", nil)
 // so fixtures may carry allow comments for analyzers outside this run.
 func Run(t *testing.T, testdata, pkgpath string, run []*analysis.Analyzer, known []string) {
 	t.Helper()
-	pkg := Load(t, testdata, pkgpath)
-	diags, err := checker.Run(pkg, run, known)
-	if err != nil {
-		t.Fatalf("checker.Run: %v", err)
-	}
-	check(t, pkg, diags)
-}
-
-// Load parses and type-checks every .go file of the fixture package at
-// <testdata>/src/<pkgpath>, for tests that drive the checker themselves.
-func Load(t *testing.T, testdata, pkgpath string) *checker.Package {
-	t.Helper()
 	dir := filepath.Join(testdata, "src", pkgpath)
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -76,7 +64,11 @@ func Load(t *testing.T, testdata, pkgpath string) *checker.Package {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgpath, err)
 	}
-	return pkg
+	diags, err := checker.Run(pkg, run, known)
+	if err != nil {
+		t.Fatalf("checker.Run: %v", err)
+	}
+	check(t, pkg, diags)
 }
 
 // TypeCheck parses the named files into fset, with comments, and

@@ -11,33 +11,30 @@ import (
 	"columbia/internal/analysis/ir"
 )
 
-// ChanLive enforces the shutdown contract of the vmpi engine and the dist
-// supervisor: when a run fails with a RunError (or the supervisor's
-// context is cancelled), the stop token is broadcast and every goroutine
-// must observe it and unwind — otherwise it leaks across sweep points. A
-// goroutine can only outlive that broadcast while it is blocked, so for
-// each goroutine body started in vmpi or dist (function literal or named
-// same-package function) chanlive solves a forward must-observed dataflow
-// problem over the CFG — the fact is "the stop token has been observed on
-// every path to here" — and reports any blocking channel send, receive,
-// range over a channel, Wait call, or default-less select with no stop
-// case that executes while the fact is still false. Observations are
-// references to the package's stopToken type, stopping/stopped flags,
-// receives from stop/done/quit channels (ctx.Done() included), and calls
-// to same-package functions that make one. Test files are exempt.
+// ChanLive enforces the shutdown contract of the dist supervisor: when
+// its context is cancelled or a lane is abandoned, every goroutine must
+// observe that and unwind, or it leaks across sweep points. A goroutine
+// can only outlive the stop while it is blocked, so for each goroutine
+// body started in dist (function literal or named same-package function)
+// chanlive solves a forward must-observed dataflow problem over the CFG —
+// the fact is "the stop has been observed on every path to here" — and
+// reports any blocking channel send, receive, range over a channel, Wait
+// call, or default-less select with no stop case that executes while the
+// fact is still false. Observations are receives from stop/done/quit
+// channels (ctx.Done() included) and calls to same-package functions that
+// make one. Test files are exempt.
 var ChanLive = &analysis.Analyzer{
 	Name: "chanlive",
-	Doc:  "every blocking op in vmpi/dist goroutines must be dominated by a stop-token observation",
+	Doc:  "every blocking op in dist goroutines must be dominated by a stop observation",
 	Run:  runChanLive,
 }
 
 func runChanLive(pass *analysis.Pass) error {
-	if !goroutinePackages[scopeName(pass.Pkg)] {
+	if scopeName(pass.Pkg) != "dist" {
 		return nil
 	}
-	tok, _ := pass.Pkg.Scope().Lookup("stopToken").(*types.TypeName)
 	decls := declIndex(pass.TypesInfo, pass.Files)
-	obs := &observer{info: pass.TypesInfo, tok: tok}
+	obs := &observer{info: pass.TypesInfo}
 	obs.stopObservingFuncs(decls)
 
 	seen := make(map[*ast.BlockStmt]bool)
@@ -79,7 +76,7 @@ func runChanLive(pass *analysis.Pass) error {
 	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
 	for _, f := range findings {
 		pass.Reportf(f.pos,
-			"%s in a goroutine before any stop-token observation on this path — on RunError shutdown the goroutine can block forever and leak across sweep points; observe the stop token (stopToken, a stop/done channel, ctx.Done()) on every path first, or justify with //detlint:allow chanlive <reason>",
+			"%s in a goroutine before any stop observation on this path — once the supervisor stops listening the goroutine can block forever and leak across sweep points; observe a stop/done channel or ctx.Done() on every path first, or justify with //detlint:allow chanlive <reason>",
 			f.what)
 	}
 	return nil
@@ -111,7 +108,6 @@ func analyzeGoroutineBody(body *ast.BlockStmt, obs *observer, report func(token.
 		return observed
 	}
 	facts := ir.Solve(g, ir.Problem[bool]{
-		Dir:      ir.Forward,
 		Boundary: false,
 		Init:     true, // lattice top for a must-analysis
 		Meet:     func(a, b bool) bool { return a && b },
@@ -141,9 +137,9 @@ func analyzeGoroutineBody(body *ast.BlockStmt, obs *observer, report func(token.
 }
 
 // selectFacts summarizes one select head: whether some case receives the
-// stop token (the select is then the listen point, so every clause
-// continues observed), and where a finding goes — the first case, or the
-// `select` keyword when there is none.
+// stop (the select is then the listen point, so every clause continues
+// observed), and where a finding goes — the first case, or the `select`
+// keyword when there is none.
 type selectFacts struct {
 	observes bool
 	pos      token.Pos
@@ -175,23 +171,18 @@ func classifySelects(g *ir.Graph, obs *observer) map[*ir.Block]selectFacts {
 	return out
 }
 
-// An observer decides which nodes count as observing the stop token and
-// which functions do so transitively.
+// An observer decides which nodes count as observing the stop and which
+// functions do so transitively.
 type observer struct {
 	info  *types.Info
-	tok   *types.TypeName // the package's stopToken type, if declared
 	funcs map[*types.Func]bool
 }
 
-// observes reports whether one node, taken alone, observes the stop
-// token: a reference to the stopToken type (including panic(stopToken{})),
-// a stopping/stopped flag, a receive from or range over a stop/done/quit
-// channel (ctx.Done() included), or a call to a stop-observing function.
+// observes reports whether one node, taken alone, observes the stop: a
+// receive from or range over a stop/done/quit channel (ctx.Done()
+// included), or a call to a stop-observing function.
 func (o *observer) observes(n ast.Node) bool {
 	switch x := n.(type) {
-	case *ast.Ident:
-		return o.tok != nil && (o.info.Uses[x] == o.tok || o.info.Defs[x] == o.tok) ||
-			x.Name == "stopping" || x.Name == "stopped"
 	case *ast.UnaryExpr:
 		return x.Op == token.ARROW && recvObserves(x.X)
 	case *ast.RangeStmt:
@@ -203,7 +194,7 @@ func (o *observer) observes(n ast.Node) bool {
 	return false
 }
 
-// nodeObserves reports whether a block node observes the stop token,
+// nodeObserves reports whether a block node observes the stop,
 // shallowly: nested function literals are their own goroutine roots or
 // closures, not this path.
 func (o *observer) nodeObserves(n ast.Node) bool {
@@ -221,7 +212,7 @@ func anyNode(n ast.Node, walk func(ast.Node, func(ast.Node) bool), pred func(ast
 }
 
 // recvObserves reports whether receiving from the expression observes the
-// stop token, by the leaf name of the channel source: stop, done or quit
+// stop, by the leaf name of the channel source: stop, done or quit
 // spellings (e.stop, stopc, ctx.Done(), quitCh, ...).
 func recvObserves(e ast.Expr) bool {
 	name := strings.ToLower(leafName(e))
@@ -244,7 +235,7 @@ func leafName(e ast.Expr) string {
 }
 
 // stopObservingFuncs computes, by fixed point, the package functions whose
-// bodies (nested literals included) observe the stop token directly or
+// bodies (nested literals included) observe the stop directly or
 // call another observing function — the interprocedural half of the
 // observation predicate.
 func (o *observer) stopObservingFuncs(decls map[*types.Func]*ast.FuncDecl) {

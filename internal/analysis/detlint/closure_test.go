@@ -25,56 +25,6 @@ func loadSrc(t *testing.T, src string) (*ast.File, *types.Info, *types.Package) 
 	return pkg.Files[0], pkg.Info, pkg.Pkg
 }
 
-func funcBody(f *ast.File, name string) *ast.FuncDecl {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return fd
-		}
-	}
-	return nil
-}
-
-// TestTaint proves collsplit's fixed-point propagation: the seed flows through a
-// chain of assignments and a multi-assign, and unrelated locals stay
-// clean.
-func TestTaint(t *testing.T) {
-	src := `package p
-func seed() int { return 1 }
-func pair(v int) (int, int) { return v, v }
-func f() int {
-	a := seed()
-	b := a + 1
-	c, d := pair(b)
-	clean, e := 5, 7
-	_, _, _ = d, clean, e
-	return c
-}
-`
-	f, info, _ := loadSrc(t, src)
-	fd := funcBody(f, "f")
-	isSeed := func(e ast.Expr) bool {
-		call, ok := e.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "seed"
-	}
-	tainted := taint(info, fd.Body, isSeed)
-	names := map[string]bool{}
-	for obj := range tainted {
-		names[obj.Name()] = true
-	}
-	for _, want := range []string{"a", "b", "c", "d"} {
-		if !names[want] {
-			t.Errorf("local %q not tainted; got %v", want, names)
-		}
-	}
-	if names["clean"] {
-		t.Errorf("local clean tainted spuriously: %v", names)
-	}
-}
-
 // TestClosure proves the transitive in-package walk fingerprintcover and
 // wirecover share: reached through a chain and a method, not through dead
 // code, generics resolved to their origins.

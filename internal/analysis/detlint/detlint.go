@@ -1,9 +1,9 @@
-// Package detlint is the repository's static-analysis suite: eight
+// Package detlint is the repository's static-analysis suite: six
 // analyzers guarding the paper reproduction's machine-checked promises —
 // byte-identical experiment tables regardless of -j or -workers, memo-cache
 // keys (vmpi.Config.Fingerprint) that change whenever any result-relevant
-// input does, and the communication and shutdown discipline that keeps a
-// sweep from deadlocking or leaking goroutines:
+// input does, and the lock and shutdown discipline that keeps a sweep from
+// deadlocking or leaking goroutines:
 //
 //   - fingerprintcover: every field of a struct with a Fingerprint method
 //     (vmpi.Config, fault.Plan) — and of the nested structs it enumerates —
@@ -14,18 +14,17 @@
 //     let map iteration order leak into output.
 //   - floatcmp: no ==/!= on floating-point operands in simulation core;
 //     exact comparisons must be epsilon helpers or justified suppressions.
-//   - collsplit: no collective call reachable only under a rank-dependent
-//     branch — the conditional-collective deadlock the commsan runtime
-//     sanitizer reports as a subset-collective violation.
-//   - tagpair: no literal send/recv tag that can never match within its
-//     package (a leaked send or a forever-blocked receive).
 //   - lockorder: no double acquisition, inconsistent lock order, or
 //     blocking channel operation while a mutex is held.
 //   - wirecover: every exported field of a //detlint:wire struct is read
 //     by its cover functions, so nothing rides the wire unconsumed.
-//   - chanlive: every blocking operation in a vmpi or dist goroutine comes
-//     after a stop-token observation on every path, so no goroutine
-//     outlives a RunError shutdown.
+//   - chanlive: every blocking operation in a dist goroutine comes after
+//     a stop observation (a done channel, ctx.Done()) on every path, so
+//     no goroutine outlives the supervisor.
+//
+// Communication correctness (unmatched sends, collectives only some ranks
+// enter) is not checked here: the tests run every rank program under the
+// commsan runtime sanitizer (DESIGN.md §7).
 //
 // A finding is silenced by a `//detlint:allow <analyzer> <reason>` comment
 // on (or immediately above) the offending line; stale allows are
@@ -45,7 +44,7 @@ import (
 )
 
 // Suite is every analyzer, in reporting order.
-var Suite = []*analysis.Analyzer{FingerprintCover, NoDeterm, FloatCmp, Collsplit, Tagpair, LockOrder, WireCover, ChanLive}
+var Suite = []*analysis.Analyzer{FingerprintCover, NoDeterm, FloatCmp, LockOrder, WireCover, ChanLive}
 
 // Names returns the suite's analyzer names, the vocabulary valid in
 // //detlint:allow comments.
@@ -70,13 +69,6 @@ var simPackages = map[string]bool{
 	"noise":    true,
 	"netmodel": true,
 	"report":   true,
-}
-
-// goroutinePackages are the packages whose goroutines must unwind on a
-// stop-token broadcast; chanlive applies only there.
-var goroutinePackages = map[string]bool{
-	"vmpi": true,
-	"dist": true,
 }
 
 // scopeName reduces a package to the name scope rules match on: the last
@@ -212,12 +204,6 @@ func WireMarker(gd *ast.GenDecl, ts *ast.TypeSpec) (string, bool) {
 		return strings.TrimSpace(rest), true
 	}
 	return "", false
-}
-
-// pkgFunc reports whether fn is the package-level function path.name.
-func pkgFunc(fn *types.Func, path, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == path &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // structOf unwraps t to its struct underlying, through one level of

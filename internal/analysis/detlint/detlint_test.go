@@ -20,14 +20,12 @@ func TestAnalyzers(t *testing.T) {
 		{"fingerprintcover", []string{"fp"}, []*analysis.Analyzer{detlint.FingerprintCover}},
 		{"nodeterm", []string{"vmpi", "notsim"}, []*analysis.Analyzer{detlint.NoDeterm}},
 		{"floatcmp", []string{"core"}, []*analysis.Analyzer{detlint.FloatCmp}},
-		{"collsplit", []string{"coll"}, []*analysis.Analyzer{detlint.Collsplit}},
-		{"tagpair", []string{"tags", "tagsdyn"}, []*analysis.Analyzer{detlint.Tagpair}},
 		{"lockorder", []string{"locks"}, []*analysis.Analyzer{detlint.LockOrder}},
 		{"wirecover", []string{"wire"}, []*analysis.Analyzer{detlint.WireCover}},
-		{"chanlive", []string{"vmpi", "dist"}, []*analysis.Analyzer{detlint.ChanLive}},
-		// stoptoken was folded into chanlive; its fixture stays as a
+		{"chanlive", []string{"dist"}, []*analysis.Analyzer{detlint.ChanLive}},
+		// stoptoken was folded into chanlive; its cases stay as a
 		// regression set that chanlive must still catch in full.
-		{"stoptoken", []string{"vmpi"}, []*analysis.Analyzer{detlint.ChanLive}},
+		{"stoptoken", []string{"dist"}, []*analysis.Analyzer{detlint.ChanLive}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -48,7 +46,7 @@ func TestAllowProtocol(t *testing.T) {
 // TestNames pins the allow-comment vocabulary; renaming an analyzer is an
 // interface change for every suppression in the repo.
 func TestNames(t *testing.T) {
-	want := []string{"fingerprintcover", "nodeterm", "floatcmp", "collsplit", "tagpair", "lockorder", "wirecover", "chanlive"}
+	want := []string{"fingerprintcover", "nodeterm", "floatcmp", "lockorder", "wirecover", "chanlive"}
 	got := detlint.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

@@ -304,7 +304,6 @@ func (w *lockWalker) analyze(body *ast.BlockStmt) {
 	g := ir.New(body)
 	w.ops = blockingOps(w.pass.TypesInfo, g)
 	facts := ir.Solve(g, ir.Problem[heldSet]{
-		Dir:      ir.Forward,
 		Boundary: heldSet{},
 		Init:     nil,
 		Meet:     meetHeld,

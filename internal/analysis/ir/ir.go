@@ -1,11 +1,10 @@
 // Package ir is the control-flow layer of the analysis suite: a
 // per-function control-flow graph built from syntax alone (if/for/range/
 // switch/type-switch/select/defer/goto and labeled break/continue all
-// lowered to blocks and edges), a generic worklist solver over it, and
-// postdominators. chanlive (must the stop token be observed before every
-// blocking operation), lockorder (which locks are held on every path to
-// this point) and collsplit (is this collective control-dependent on a
-// rank-dependent branch) are built on it. Like package analysis
+// lowered to blocks and edges) and a generic forward worklist solver over
+// it. chanlive (must a stop be observed before every blocking operation)
+// and lockorder (which locks are held on every path to this point) are
+// built on it. Like package analysis
 // itself, the shapes deliberately stay close to the upstream
 // golang.org/x/tools/go/cfg vocabulary so a migration would be an import
 // change, not a rewrite (x/tools cannot be vendored here; builds must work
@@ -48,23 +47,16 @@ type Block struct {
 	Preds []*Block
 }
 
-// A Branch records one conditional construct: the block that evaluates the
-// controlling expressions and the expressions themselves. Analyzers that
-// reason about control dependence (collsplit's rank-guard computation)
-// consume these instead of re-deriving which node in a block is a
-// condition.
+// A Branch records one conditional construct: the block that ends in the
+// branch and the construct's keyword.
 type Branch struct {
-	// Block evaluates Conds; its successor edges are the branch targets.
+	// Block is the branch head; its successor edges are the branch targets.
 	Block *Block
 	// Kind is "if", "for", "range", "switch", "typeswitch" or "select".
 	Kind string
 	// Pos is the construct's keyword: where a finding about the construct
 	// as a whole goes, such as a case-less `select {}`.
 	Pos token.Pos
-	// Conds are the controlling expressions: the if/for condition, the
-	// range operand, or the switch tag followed by every case expression.
-	// Empty for select and bare `for {}` heads.
-	Conds []ast.Expr
 }
 
 // A Graph is the control-flow graph of one function body.
@@ -97,28 +89,18 @@ func New(body *ast.BlockStmt) *Graph {
 
 // Reachable returns the set of blocks reachable from the entry block.
 func (g *Graph) Reachable() map[*Block]bool {
-	reach := ReachableFrom(g.Entry)
-	reach[g.Entry] = true
-	return reach
-}
-
-// ReachableFrom returns the set of blocks reachable from b along successor
-// edges, excluding b itself unless a cycle returns to it.
-func ReachableFrom(b *Block) map[*Block]bool {
 	reach := make(map[*Block]bool)
-	var visit func(s *Block)
-	visit = func(s *Block) {
-		if reach[s] {
+	var visit func(b *Block)
+	visit = func(b *Block) {
+		if reach[b] {
 			return
 		}
-		reach[s] = true
-		for _, n := range s.Succs {
-			visit(n)
+		reach[b] = true
+		for _, s := range b.Succs {
+			visit(s)
 		}
 	}
-	for _, s := range b.Succs {
-		visit(s)
-	}
+	visit(g.Entry)
 	return reach
 }
 
@@ -311,7 +293,7 @@ func (b *builder) ifStmt(x *ast.IfStmt) {
 	}
 	b.add(x.Cond)
 	head := b.cur
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "if", Pos: x.If, Conds: []ast.Expr{x.Cond}})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "if", Pos: x.If})
 	then := b.newBlock("if.then")
 	b.jump(head, then)
 	b.cur = then
@@ -343,7 +325,7 @@ func (b *builder) forStmt(x *ast.ForStmt, label string) {
 	b.jump(b.ensure(), head)
 	if x.Cond != nil {
 		head.Nodes = append(head.Nodes, x.Cond)
-		b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "for", Pos: x.For, Conds: []ast.Expr{x.Cond}})
+		b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "for", Pos: x.For})
 	}
 	body := b.newBlock("for.body")
 	join := b.newBlock("for.join")
@@ -370,7 +352,7 @@ func (b *builder) rangeStmt(x *ast.RangeStmt, label string) {
 	head := b.newBlock("range.head")
 	b.jump(b.ensure(), head)
 	head.Nodes = append(head.Nodes, x)
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "range", Pos: x.For, Conds: []ast.Expr{x.X}})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "range", Pos: x.For})
 	body := b.newBlock("range.body")
 	join := b.newBlock("range.join")
 	b.jump(head, body)
@@ -392,10 +374,6 @@ func (b *builder) switchStmt(x *ast.SwitchStmt, label string) {
 	}
 	head := b.ensure()
 	join := b.newBlock("switch.join")
-	var conds []ast.Expr
-	if x.Tag != nil {
-		conds = append(conds, x.Tag)
-	}
 	type clause struct {
 		blk *Block
 		cc  *ast.CaseClause
@@ -412,12 +390,11 @@ func (b *builder) switchStmt(x *ast.SwitchStmt, label string) {
 		blk := b.newBlock(kind)
 		for _, e := range cc.List {
 			blk.Nodes = append(blk.Nodes, e)
-			conds = append(conds, e)
 		}
 		b.jump(head, blk)
 		clauses = append(clauses, clause{blk, cc})
 	}
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "switch", Pos: x.Switch, Conds: conds})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "switch", Pos: x.Switch})
 	if !hasDefault {
 		b.jump(head, join)
 	}
@@ -449,7 +426,7 @@ func (b *builder) typeSwitchStmt(x *ast.TypeSwitchStmt, label string) {
 	b.add(x.Assign)
 	head := b.cur
 	join := b.newBlock("switch.join")
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "typeswitch", Pos: x.Switch, Conds: typeSwitchOperand(x)})
+	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "typeswitch", Pos: x.Switch})
 	hasDefault := false
 	type clause struct {
 		blk *Block
@@ -480,24 +457,6 @@ func (b *builder) typeSwitchStmt(x *ast.TypeSwitchStmt, label string) {
 	}
 	b.frames = b.frames[:len(b.frames)-1]
 	b.cur = join
-}
-
-// typeSwitchOperand extracts the asserted expression from `switch v :=
-// x.(type)` or `switch x.(type)`.
-func typeSwitchOperand(x *ast.TypeSwitchStmt) []ast.Expr {
-	var e ast.Expr
-	switch a := x.Assign.(type) {
-	case *ast.ExprStmt:
-		e = a.X
-	case *ast.AssignStmt:
-		if len(a.Rhs) == 1 {
-			e = a.Rhs[0]
-		}
-	}
-	if ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr); ok {
-		return []ast.Expr{ta.X}
-	}
-	return nil
 }
 
 func (b *builder) selectStmt(x *ast.SelectStmt, label string) {

@@ -145,16 +145,15 @@ func TestGraphShape(t *testing.T) {
 	})
 }
 
-// blockSets is the dominator-style problem over block sets: the fact at a
-// block is the set of blocks every path (from entry when solved forward,
-// to exit when solved backward) passes through, the block itself included.
-func blockSets(g *ir.Graph, dir ir.Dir) ir.Problem[map[*ir.Block]bool] {
+// dominators is the dominator problem over block sets: the fact at a block
+// is the set of blocks every path from entry passes through, the block
+// itself included.
+func dominators(g *ir.Graph) ir.Problem[map[*ir.Block]bool] {
 	all := make(map[*ir.Block]bool, len(g.Blocks))
 	for _, b := range g.Blocks {
 		all[b] = true
 	}
 	return ir.Problem[map[*ir.Block]bool]{
-		Dir:      dir,
 		Boundary: map[*ir.Block]bool{},
 		Init:     all,
 		Meet: func(a, b map[*ir.Block]bool) map[*ir.Block]bool {
@@ -190,22 +189,16 @@ func blockSets(g *ir.Graph, dir ir.Dir) ir.Problem[map[*ir.Block]bool] {
 
 // TestWorklistConvergence bounds the solver on the loop-heavy fixture:
 // nested loops and a switch must converge in a small multiple of the block
-// count for both a forward instance (dominators) and a backward one
-// (postdominators, which must agree with ir.Postdominators), and the
-// solved facts must be right at spot-checked points.
+// count, and the solved dominators must be right at spot-checked points.
 func TestWorklistConvergence(t *testing.T) {
 	_, f, _ := loadFixture(t)
 	g := ir.New(fixtureFunc(t, f, "loopHeavy").Body)
 	bound := 6 * len(g.Blocks)
 	reach := g.Reachable()
 
-	dom := ir.Solve(g, blockSets(g, ir.Forward))
+	dom := ir.Solve(g, dominators(g))
 	if dom.Steps > bound {
 		t.Errorf("dominators took %d transfer steps on %d blocks, want <= %d", dom.Steps, len(g.Blocks), bound)
-	}
-	pdom := ir.Solve(g, blockSets(g, ir.Backward))
-	if pdom.Steps > bound {
-		t.Errorf("postdominators took %d transfer steps on %d blocks, want <= %d", pdom.Steps, len(g.Blocks), bound)
 	}
 
 	// Entry dominates every reachable block, and each loop head dominates
@@ -223,54 +216,6 @@ func TestWorklistConvergence(t *testing.T) {
 			if (s.Kind == "for.body" || s.Kind == "range.body") && !dom.Out[s][b] {
 				t.Errorf("%s b%d does not dominate its body b%d", b.Kind, b.Index, s.Index)
 			}
-		}
-	}
-
-	want := ir.Postdominators(g)
-	for _, b := range g.Blocks {
-		if len(want[b]) != len(pdom.Out[b]) {
-			t.Errorf("b%d: backward solve has %d postdominators, ir.Postdominators %d", b.Index, len(pdom.Out[b]), len(want[b]))
-			continue
-		}
-		for p := range want[b] {
-			if !pdom.Out[b][p] {
-				t.Errorf("b%d: ir.Postdominators lists b%d, the backward solve does not", b.Index, p.Index)
-			}
-		}
-	}
-}
-
-// TestPostdominators checks the control-dependence substrate on the
-// labeled-loops fixture: the inner body does not postdominate the outer
-// head, while the function's return block postdominates everything
-// reachable.
-func TestPostdominators(t *testing.T) {
-	_, f, _ := loadFixture(t)
-	g := ir.New(fixtureFunc(t, f, "labeledLoops").Body)
-	pdom := ir.Postdominators(g)
-	reach := g.Reachable()
-
-	var outerHead, innerBody *ir.Block
-	for _, b := range g.Blocks {
-		if b.Kind == "for.head" && outerHead == nil {
-			outerHead = b
-		}
-		if b.Kind == "for.body" {
-			innerBody = b // last one wins: the inner loop's body
-		}
-	}
-	if outerHead == nil || innerBody == nil {
-		t.Fatal("loop blocks not found")
-	}
-	if pdom[outerHead][innerBody] {
-		t.Error("inner loop body postdominates the outer head; loop bodies are conditional")
-	}
-	for b := range reach {
-		if !pdom[b][g.Exit] {
-			t.Errorf("exit does not postdominate reachable block b%d (%s)", b.Index, b.Kind)
-		}
-		if !pdom[b][b] {
-			t.Errorf("block b%d does not postdominate itself", b.Index)
 		}
 	}
 }

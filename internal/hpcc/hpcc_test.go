@@ -133,12 +133,15 @@ func TestBeffShapes(t *testing.T) {
 	run := func(nt machine.NodeType, p int) BeffResult {
 		cl := machine.NewSingleNode(nt)
 		var out BeffResult
-		vmpi.Run(vmpi.Config{Cluster: cl, Procs: p}, func(c par.Comm) {
+		_, err := vmpi.TryRun(vmpi.Config{Cluster: cl, Procs: p, Sanitize: true}, func(c par.Comm) {
 			r := Beff(c, 4)
 			if c.Rank() == 0 {
 				out = r
 			}
 		})
+		if err != nil {
+			t.Fatalf("%v p=%d: %v", nt, p, err)
+		}
 		return out
 	}
 	b64 := run(machine.AltixBX2b, 64)
@@ -169,12 +172,15 @@ func TestBeffShapes(t *testing.T) {
 func TestBeffMultinode(t *testing.T) {
 	run := func(cl *machine.Cluster, p, nodes int, random bool) BeffResult {
 		var out BeffResult
-		vmpi.Run(vmpi.Config{Cluster: cl, Procs: p, Nodes: nodes, RandomPattern: random}, func(c par.Comm) {
+		_, err := vmpi.TryRun(vmpi.Config{Cluster: cl, Procs: p, Nodes: nodes, RandomPattern: random, Sanitize: true}, func(c par.Comm) {
 			r := Beff(c, 2)
 			if c.Rank() == 0 {
 				out = r
 			}
 		})
+		if err != nil {
+			t.Fatalf("%v p=%d nodes=%d random=%v: %v", cl.Fabric, p, nodes, random, err)
+		}
 		return out
 	}
 	nl := run(machine.NewBX2bQuad(), 128, 4, false)

@@ -123,20 +123,40 @@ func TestMPIMatchesSerial(t *testing.T) {
 	cfg := testConfig(2)
 	serial := NewSystem(cfg)
 	serial.Run(omp.NewTeam(1), 8)
-	for _, procs := range []int{2, 3} {
-		results := make([]*System, procs)
-		par.Run(procs, func(c par.Comm) {
-			results[c.Rank()] = RunMPI(c, cfg, 8)
-		})
-		for r, sys := range results {
-			for i := range serial.X {
-				if serial.X[i] != sys.X[i] {
-					t.Fatalf("procs=%d rank=%d atom %d: %v != %v",
-						procs, r, i, sys.X[i], serial.X[i])
+	for _, eng := range engines {
+		for _, procs := range []int{2, 3} {
+			results := make([]*System, procs)
+			eng.run(t, procs, func(c par.Comm) {
+				results[c.Rank()] = RunMPI(c, cfg, 8)
+			})
+			for r, sys := range results {
+				for i := range serial.X {
+					if serial.X[i] != sys.X[i] {
+						t.Fatalf("%s procs=%d rank=%d atom %d: %v != %v",
+							eng.name, procs, r, i, sys.X[i], serial.X[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// engines are the two engines TestMPIMatchesSerial runs the program on.
+// The sanitized simulator goes first: an unmatched send, a collective only
+// some ranks enter or a deadlock fails the test with the sanitizer's report
+// or the wait-for chain, where par.Run would hang until the test timeout.
+var engines = []struct {
+	name string
+	run  func(t *testing.T, procs int, fn func(par.Comm))
+}{
+	{"vmpi", func(t *testing.T, procs int, fn func(par.Comm)) {
+		t.Helper()
+		cfg := vmpi.Config{Cluster: machine.NewSingleNode(machine.AltixBX2b), Procs: procs, Sanitize: true}
+		if _, err := vmpi.TryRun(cfg, fn); err != nil {
+			t.Fatalf("vmpi procs=%d: %v", procs, err)
+		}
+	}},
+	{"par", func(_ *testing.T, procs int, fn func(par.Comm)) { par.Run(procs, fn) }},
 }
 
 func TestWeakScalingNearPerfect(t *testing.T) {

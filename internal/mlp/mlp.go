@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"columbia/internal/omp"
+	"columbia/internal/par"
 )
 
 // Arena is the shared-memory arena where each group archives the boundary
@@ -54,7 +55,7 @@ type Group struct {
 	id    int
 	n     int
 	arena *Arena
-	bar   *barrier
+	bar   *par.CyclicBarrier
 	team  *omp.Team
 }
 
@@ -72,32 +73,7 @@ func (g *Group) Team() *omp.Team { return g.team }
 
 // Barrier blocks until all groups reach it — the MLP synchronization
 // primitive used between the archive and read phases of a time step.
-func (g *Group) Barrier() { g.bar.await() }
-
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	gen     int
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.n {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
+func (g *Group) Barrier() { g.bar.Await() }
 
 // Run forks n MLP groups with the given OpenMP threads each, executes fn in
 // every group concurrently, and waits for all of them. Panics propagate.
@@ -106,8 +82,7 @@ func Run(groups, threads int, fn func(*Group)) {
 		panic("mlp: need at least one group")
 	}
 	arena := NewArena()
-	bar := &barrier{n: groups}
-	bar.cond = sync.NewCond(&bar.mu)
+	bar := par.NewCyclicBarrier(groups)
 	var wg sync.WaitGroup
 	panics := make(chan interface{}, groups)
 	for i := 0; i < groups; i++ {

@@ -106,14 +106,16 @@ func TestBTOpenMPMatchesSerial(t *testing.T) {
 func TestBTMPIMatchesSerial(t *testing.T) {
 	p := BTParams{N: 12, Niter: 4}
 	serial := RunBTSerial(p)
-	for _, procs := range []int{2, 3, 4} {
-		norms := make([]float64, procs)
-		par.Run(procs, func(c par.Comm) {
-			norms[c.Rank()] = RunBTMPI(c, p).Norm
-		})
-		for r, nm := range norms {
-			if math.Abs(nm-serial.Norm) > 1e-10+1e-9*serial.Norm {
-				t.Errorf("procs=%d rank=%d norm %.15g != serial %.15g", procs, r, nm, serial.Norm)
+	for _, eng := range engines {
+		for _, procs := range []int{2, 3, 4} {
+			norms := make([]float64, procs)
+			eng.run(t, procs, func(c par.Comm) {
+				norms[c.Rank()] = RunBTMPI(c, p).Norm
+			})
+			for r, nm := range norms {
+				if math.Abs(nm-serial.Norm) > 1e-10+1e-9*serial.Norm {
+					t.Errorf("%s procs=%d rank=%d norm %.15g != serial %.15g", eng.name, procs, r, nm, serial.Norm)
+				}
 			}
 		}
 	}

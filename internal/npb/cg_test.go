@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"columbia/internal/machine"
 	"columbia/internal/omp"
 	"columbia/internal/par"
+	"columbia/internal/vmpi"
 )
 
 func TestMakeCGMatrixSymmetric(t *testing.T) {
@@ -79,17 +81,37 @@ func TestCGOpenMPMatchesSerial(t *testing.T) {
 	}
 }
 
+// engines are the two engines the MPI kernel tests run each program on.
+// The sanitized simulator goes first: an unmatched send, a collective only
+// some ranks enter or a deadlock fails the test with the sanitizer's report
+// or the wait-for chain, where par.Run would hang until the test timeout.
+var engines = []struct {
+	name string
+	run  func(t *testing.T, procs int, fn func(par.Comm))
+}{
+	{"vmpi", func(t *testing.T, procs int, fn func(par.Comm)) {
+		t.Helper()
+		cfg := vmpi.Config{Cluster: machine.NewSingleNode(machine.AltixBX2b), Procs: procs, Sanitize: true}
+		if _, err := vmpi.TryRun(cfg, fn); err != nil {
+			t.Fatalf("vmpi procs=%d: %v", procs, err)
+		}
+	}},
+	{"par", func(_ *testing.T, procs int, fn func(par.Comm)) { par.Run(procs, fn) }},
+}
+
 func TestCGMPIMatchesSerial(t *testing.T) {
 	p := CGParams{N: 701, Nonzer: 6, Niter: 6, Shift: 9} // deliberately not divisible
 	serial := RunCGSerial(p)
-	for _, procs := range []int{2, 3, 5} {
-		zetas := make([]float64, procs)
-		par.Run(procs, func(c par.Comm) {
-			zetas[c.Rank()] = RunCGMPI(c, p).Zeta
-		})
-		for r, z := range zetas {
-			if math.Abs(z-serial.Zeta) > 1e-8*math.Abs(serial.Zeta) {
-				t.Errorf("procs=%d rank %d zeta %v != serial %v", procs, r, z, serial.Zeta)
+	for _, eng := range engines {
+		for _, procs := range []int{2, 3, 5} {
+			zetas := make([]float64, procs)
+			eng.run(t, procs, func(c par.Comm) {
+				zetas[c.Rank()] = RunCGMPI(c, p).Zeta
+			})
+			for r, z := range zetas {
+				if math.Abs(z-serial.Zeta) > 1e-8*math.Abs(serial.Zeta) {
+					t.Errorf("%s procs=%d rank %d zeta %v != serial %v", eng.name, procs, r, z, serial.Zeta)
+				}
 			}
 		}
 	}

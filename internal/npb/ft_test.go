@@ -86,16 +86,18 @@ func TestFTOpenMPMatchesSerial(t *testing.T) {
 func TestFTMPIMatchesSerial(t *testing.T) {
 	p := FTParams{Nx: 16, Ny: 8, Nz: 16, Niter: 3}
 	serial := RunFTSerial(p)
-	for _, procs := range []int{2, 4} {
-		sums := make([][]complex128, procs)
-		par.Run(procs, func(c par.Comm) {
-			sums[c.Rank()] = RunFTMPI(c, p).Checksums
-		})
-		for r := 0; r < procs; r++ {
-			for i := range serial.Checksums {
-				if cmplx.Abs(serial.Checksums[i]-sums[r][i]) > 1e-9 {
-					t.Errorf("procs=%d rank=%d iter %d: %v != %v",
-						procs, r, i, sums[r][i], serial.Checksums[i])
+	for _, eng := range engines {
+		for _, procs := range []int{2, 4} {
+			sums := make([][]complex128, procs)
+			eng.run(t, procs, func(c par.Comm) {
+				sums[c.Rank()] = RunFTMPI(c, p).Checksums
+			})
+			for r := 0; r < procs; r++ {
+				for i := range serial.Checksums {
+					if cmplx.Abs(serial.Checksums[i]-sums[r][i]) > 1e-9 {
+						t.Errorf("%s procs=%d rank=%d iter %d: %v != %v",
+							eng.name, procs, r, i, sums[r][i], serial.Checksums[i])
+					}
 				}
 			}
 		}

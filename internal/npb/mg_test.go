@@ -34,14 +34,16 @@ func TestMGOpenMPMatchesSerial(t *testing.T) {
 func TestMGMPIMatchesSerial(t *testing.T) {
 	p := MGParams{N: 16, Niter: 3}
 	serial := RunMGSerial(p)
-	for _, procs := range []int{2, 4, 8} {
-		norms := make([]float64, procs)
-		par.Run(procs, func(c par.Comm) {
-			norms[c.Rank()] = RunMGMPI(c, p).RNorm
-		})
-		for r, nm := range norms {
-			if math.Abs(nm-serial.RNorm) > 1e-13+1e-10*serial.RNorm {
-				t.Errorf("procs=%d rank=%d rnorm %v != serial %v", procs, r, nm, serial.RNorm)
+	for _, eng := range engines {
+		for _, procs := range []int{2, 4, 8} {
+			norms := make([]float64, procs)
+			eng.run(t, procs, func(c par.Comm) {
+				norms[c.Rank()] = RunMGMPI(c, p).RNorm
+			})
+			for r, nm := range norms {
+				if math.Abs(nm-serial.RNorm) > 1e-13+1e-10*serial.RNorm {
+					t.Errorf("%s procs=%d rank=%d rnorm %v != serial %v", eng.name, procs, r, nm, serial.RNorm)
+				}
 			}
 		}
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"columbia/internal/machine"
 	"columbia/internal/npb"
 	"columbia/internal/omp"
 	"columbia/internal/par"
+	"columbia/internal/vmpi"
 )
 
 func TestDecomposeCoversGrid(t *testing.T) {
@@ -191,20 +193,40 @@ func TestNeighborsSymmetric(t *testing.T) {
 func TestMiniMPIMatchesSerial(t *testing.T) {
 	p := Params{XZones: 3, YZones: 2, Niter: 3}
 	serial := RunMiniSerial(p, 8, 3, 1)
-	for _, procs := range []int{2, 3} {
-		var got []float64
-		par.Run(procs, func(c par.Comm) {
-			norms := RunMiniMPI(c, p, 8, 3, 1)
-			if c.Rank() == 0 {
-				got = norms
-			}
-		})
-		for i := range serial {
-			if math.Abs(serial[i]-got[i]) > 1e-12+1e-10*serial[i] {
-				t.Errorf("procs=%d zone %d norm %.15g != serial %.15g", procs, i, got[i], serial[i])
+	for _, eng := range engines {
+		for _, procs := range []int{2, 3} {
+			var got []float64
+			eng.run(t, procs, func(c par.Comm) {
+				norms := RunMiniMPI(c, p, 8, 3, 1)
+				if c.Rank() == 0 {
+					got = norms
+				}
+			})
+			for i := range serial {
+				if math.Abs(serial[i]-got[i]) > 1e-12+1e-10*serial[i] {
+					t.Errorf("%s procs=%d zone %d norm %.15g != serial %.15g", eng.name, procs, i, got[i], serial[i])
+				}
 			}
 		}
 	}
+}
+
+// engines are the two engines TestMiniMPIMatchesSerial runs the program on.
+// The sanitized simulator goes first: an unmatched send, a collective only
+// some ranks enter or a deadlock fails the test with the sanitizer's report
+// or the wait-for chain, where par.Run would hang until the test timeout.
+var engines = []struct {
+	name string
+	run  func(t *testing.T, procs int, fn func(par.Comm))
+}{
+	{"vmpi", func(t *testing.T, procs int, fn func(par.Comm)) {
+		t.Helper()
+		cfg := vmpi.Config{Cluster: machine.NewSingleNode(machine.AltixBX2b), Procs: procs, Sanitize: true}
+		if _, err := vmpi.TryRun(cfg, fn); err != nil {
+			t.Fatalf("vmpi procs=%d: %v", procs, err)
+		}
+	}},
+	{"par", func(_ *testing.T, procs int, fn func(par.Comm)) { par.Run(procs, fn) }},
 }
 
 func TestMiniCouplingChangesResult(t *testing.T) {

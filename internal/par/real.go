@@ -31,7 +31,7 @@ type realJob struct {
 	// Channels are created lazily under mu.
 	mu        sync.Mutex
 	mailboxes map[mailKey]chan realMsg
-	barrier   *cyclicBarrier
+	barrier   *CyclicBarrier
 }
 
 type mailKey struct {
@@ -53,8 +53,9 @@ func (j *realJob) box(src, dst, tag int) chan realMsg {
 	return ch
 }
 
-// cyclicBarrier is a reusable n-party barrier.
-type cyclicBarrier struct {
+// CyclicBarrier is a reusable n-party barrier: the real engine's
+// Comm.Barrier, and the one shmem and mlp synchronize on.
+type CyclicBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	n       int
@@ -62,13 +63,16 @@ type cyclicBarrier struct {
 	gen     int
 }
 
-func newCyclicBarrier(n int) *cyclicBarrier {
-	b := &cyclicBarrier{n: n}
+// NewCyclicBarrier returns a barrier for n parties.
+func NewCyclicBarrier(n int) *CyclicBarrier {
+	b := &CyclicBarrier{n: n}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-func (b *cyclicBarrier) Await() {
+// Await blocks until all n parties have called it, then releases them
+// together; the barrier is then ready for the next round.
+func (b *CyclicBarrier) Await() {
 	b.mu.Lock()
 	gen := b.gen
 	b.waiting++
@@ -109,7 +113,7 @@ func RunWithClock(n int, clock Clock, fn func(Comm)) {
 		clock:     clock,
 		start:     clock(),
 		mailboxes: make(map[mailKey]chan realMsg),
-		barrier:   newCyclicBarrier(n),
+		barrier:   NewCyclicBarrier(n),
 	}
 	var wg sync.WaitGroup
 	panics := make(chan interface{}, n)

@@ -22,6 +22,7 @@ import (
 
 	"columbia/internal/machine"
 	"columbia/internal/netmodel"
+	"columbia/internal/par"
 )
 
 // PE is one processing element's handle: rank, world size and the shared
@@ -41,32 +42,7 @@ type job struct {
 	size int
 	mu   sync.RWMutex
 	heap map[symKey][]float64
-	bar  *barrier
-}
-
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	gen     int
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.n {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
+	bar  *par.CyclicBarrier
 }
 
 // Run starts n PEs and blocks until all return.
@@ -74,8 +50,7 @@ func Run(n int, fn func(*PE)) {
 	if n < 1 {
 		panic("shmem: need at least one PE")
 	}
-	j := &job{size: n, heap: make(map[symKey][]float64), bar: &barrier{n: n}}
-	j.bar.cond = sync.NewCond(&j.bar.mu)
+	j := &job{size: n, heap: make(map[symKey][]float64), bar: par.NewCyclicBarrier(n)}
 	var wg sync.WaitGroup
 	panics := make(chan interface{}, n)
 	for pe := 0; pe < n; pe++ {
@@ -148,7 +123,7 @@ func (p *PE) Get(pe int, name string, offset int, dst []float64) {
 func (p *PE) Fence() {}
 
 // BarrierAll synchronizes every PE and makes all puts visible.
-func (p *PE) BarrierAll() { p.job.bar.await() }
+func (p *PE) BarrierAll() { p.job.bar.Await() }
 
 // --- Cost model ---
 

@@ -19,7 +19,10 @@ echo "== go build =="
 go build ./...
 
 # The tests include TestLint, which runs the detlint suite (DESIGN.md §6)
-# over every package of the module, here and in the -race pass below.
+# over every package of the module, here and in the -race pass below. They
+# also run every rank program under the communication sanitizer
+# (DESIGN.md §7): each experiment sanitized and byte-compared with the
+# plain run, b_eff's own tests, and each MPI kernel test's vmpi leg.
 echo "== go test =="
 go test -timeout 15m ./...
 
@@ -45,15 +48,6 @@ go test -timeout 10m -run Fault -count=5 \
 echo "== go test -run Noise -count=5 (noise flake gate) =="
 go test -timeout 10m -run Noise -count=5 \
 	./internal/noise/ ./internal/vmpi/ ./internal/core/ ./cmd/columbia/
-
-# Communication sanitizer: one representative core experiment per
-# simulating app family (HPCC/b_eff stride, NPB OpenMP fig8, multi-zone
-# fig7, MD table5) runs under -commsan. A violation — a message race, an
-# unmatched send, a collective mismatch — fails the run with exit 1; a
-# clean pass also re-checks (in-process, per experiment) that sanitized
-# output is byte-identical to unsanitized via the core test suite above.
-echo "== commsan (representative experiments) =="
-go run ./cmd/columbia -commsan run stride fig8 fig7 table5 > /dev/null
 
 # The runnable examples: go build only compiles them. Run each (under a
 # second in all) so one that panics or exits non-zero fails here.
