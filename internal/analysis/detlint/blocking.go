@@ -16,25 +16,24 @@ const (
 	blockRecv
 	blockRange
 	blockSelect
-	blockWait
 )
 
 // A blockingOp is one operation that can block the goroutine running it.
 type blockingOp struct {
 	kind blockKind
 	pos  token.Pos
-	ch   ast.Expr // the channel a receive or range reads; nil otherwise
-	node int      // index in its block's Nodes; len(Nodes) for a select head's select
+	node int // index in its block's Nodes; len(Nodes) for a select head's select
 }
 
-// blockingOps is the suite's one decision of what can block: per block of
-// g, in execution order, every channel send and receive, range over a
-// channel, zero-argument Wait call, and select without a default. A select
-// case's own communication blocks as part of its select, which sits at the
-// end of the select's head block at the `select` keyword. A go or defer
-// statement evaluates only its call's function value and arguments where it
-// is written; ir replays a deferred call in the exit block, where it is
-// classified again. chanlive and lockorder each filter the result.
+// blockingOps decides what can block, for lockorder: per block of g, in
+// execution order, every channel send and receive, range over a channel,
+// and select without a default. A select case's own communication blocks
+// as part of its select, which sits at the end of the select's head block
+// at the `select` keyword. A go or defer statement evaluates only its
+// call's function value and arguments where it is written; ir replays a
+// deferred call in the exit block, where it is classified again. A Wait
+// call is not a blocking operation here: sync.Cond.Wait releases its
+// mutex while it waits and must be called under it.
 func blockingOps(info *types.Info, g *ir.Graph) map[*ir.Block][]blockingOp {
 	ops := make(map[*ir.Block][]blockingOp)
 	for _, b := range g.Blocks {
@@ -43,8 +42,8 @@ func blockingOps(info *types.Info, g *ir.Graph) map[*ir.Block][]blockingOp {
 			if b.Kind == "select.case" && i == 0 {
 				own = commOp(n)
 			}
-			add := func(kind blockKind, pos token.Pos, ch ast.Expr) {
-				ops[b] = append(ops[b], blockingOp{kind, pos, ch, i})
+			add := func(kind blockKind, pos token.Pos) {
+				ops[b] = append(ops[b], blockingOp{kind, pos, i})
 			}
 			walkHere(n, func(sub ast.Node) bool {
 				if sub == own {
@@ -52,27 +51,23 @@ func blockingOps(info *types.Info, g *ir.Graph) map[*ir.Block][]blockingOp {
 				}
 				switch x := sub.(type) {
 				case *ast.SendStmt:
-					add(blockSend, x.Arrow, nil)
+					add(blockSend, x.Arrow)
 				case *ast.UnaryExpr:
 					if x.Op == token.ARROW {
-						add(blockRecv, x.OpPos, x.X)
+						add(blockRecv, x.OpPos)
 					}
 				case *ast.RangeStmt:
 					if rangesOverChan(info, x) {
-						add(blockRange, x.For, x.X)
-					}
-				case *ast.CallExpr:
-					if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && len(x.Args) == 0 {
-						add(blockWait, x.Pos(), nil)
+						add(blockRange, x.For)
 					}
 				}
 				return true
 			})
 		}
 	}
-	for _, br := range g.Branches {
-		if br.Kind == "select" && !hasDefault(br.Block) {
-			ops[br.Block] = append(ops[br.Block], blockingOp{blockSelect, br.Pos, nil, len(br.Block.Nodes)})
+	for _, sel := range g.Selects {
+		if !hasDefault(sel.Block) {
+			ops[sel.Block] = append(ops[sel.Block], blockingOp{blockSelect, sel.Pos, len(sel.Block.Nodes)})
 		}
 	}
 	return ops

@@ -25,9 +25,9 @@ func loadSrc(t *testing.T, src string) (*ast.File, *types.Info, *types.Package) 
 	return pkg.Files[0], pkg.Info, pkg.Pkg
 }
 
-// TestClosure proves the transitive in-package walk fingerprintcover and
-// wirecover share: reached through a chain and a method, not through dead
-// code, generics resolved to their origins.
+// TestClosure proves the transitive in-package walk by which wirecover
+// finds the readers of a wire struct: reached through a chain and a
+// method, not through dead code, generics resolved to their origins.
 func TestClosure(t *testing.T) {
 	src := `package p
 type s struct{}

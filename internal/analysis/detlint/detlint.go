@@ -1,14 +1,8 @@
-// Package detlint is the repository's static-analysis suite: six
+// Package detlint is the repository's static-analysis suite: four
 // analyzers guarding the paper reproduction's machine-checked promises —
-// byte-identical experiment tables regardless of -j or -workers, memo-cache
-// keys (vmpi.Config.Fingerprint) that change whenever any result-relevant
-// input does, and the lock and shutdown discipline that keeps a sweep from
-// deadlocking or leaking goroutines:
+// byte-identical experiment tables regardless of -j or -workers, and the
+// lock discipline and wire protocol that a sweep relies on:
 //
-//   - fingerprintcover: every field of a struct with a Fingerprint method
-//     (vmpi.Config, fault.Plan) — and of the nested structs it enumerates —
-//     must be read inside its fingerprint functions, so a newly added
-//     field cannot silently alias cache entries.
 //   - nodeterm: simulator packages must not read the wall clock
 //     (time.Now, time.Since), draw from the global math/rand source, or
 //     let map iteration order leak into output.
@@ -18,13 +12,14 @@
 //     blocking channel operation while a mutex is held.
 //   - wirecover: every exported field of a //detlint:wire struct is read
 //     by its cover functions, so nothing rides the wire unconsumed.
-//   - chanlive: every blocking operation in a dist goroutine comes after
-//     a stop observation (a done channel, ctx.Done()) on every path, so
-//     no goroutine outlives the supervisor.
 //
-// Communication correctness (unmatched sends, collectives only some ranks
-// enter) is not checked here: the tests run every rank program under the
-// commsan runtime sanitizer (DESIGN.md §7).
+// Three invariants are owned by runtime tests instead (DESIGN.md §6):
+// communication correctness (unmatched sends, collectives only some ranks
+// enter) by the commsan sanitizer, which runs every rank program in the
+// tests (DESIGN.md §7); goroutine lifetimes by the leak tests in vmpi and
+// dist; and memo-cache key coverage by vmpi's
+// TestFingerprintCoversEveryField, which requires every field of every
+// type with a Fingerprint method to move its key.
 //
 // A finding is silenced by a `//detlint:allow <analyzer> <reason>` comment
 // on (or immediately above) the offending line; stale allows are
@@ -44,7 +39,7 @@ import (
 )
 
 // Suite is every analyzer, in reporting order.
-var Suite = []*analysis.Analyzer{FingerprintCover, NoDeterm, FloatCmp, LockOrder, WireCover, ChanLive}
+var Suite = []*analysis.Analyzer{NoDeterm, FloatCmp, LockOrder, WireCover}
 
 // Names returns the suite's analyzer names, the vocabulary valid in
 // //detlint:allow comments.
@@ -206,16 +201,6 @@ func WireMarker(gd *ast.GenDecl, ts *ast.TypeSpec) (string, bool) {
 	return "", false
 }
 
-// structOf unwraps t to its struct underlying, through one level of
-// pointer and any named/alias chain. It returns nil for non-structs.
-func structOf(t types.Type) *types.Struct {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	s, _ := t.Underlying().(*types.Struct)
-	return s
-}
-
 // derefType strips every level of pointer from t.
 func derefType(t types.Type) types.Type {
 	for {
@@ -225,23 +210,6 @@ func derefType(t types.Type) types.Type {
 		}
 		t = p.Elem()
 	}
-}
-
-// namedStructOf is structOf restricted to named struct types; it returns
-// the name the struct is declared under, for diagnostics.
-func namedStructOf(t types.Type) (*types.Named, *types.Struct) {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	s, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return n, s
 }
 
 // funcBodies collects every function body in the file, outermost first,

@@ -17,15 +17,10 @@ func TestAnalyzers(t *testing.T) {
 		pkgs []string
 		run  []*analysis.Analyzer
 	}{
-		{"fingerprintcover", []string{"fp"}, []*analysis.Analyzer{detlint.FingerprintCover}},
 		{"nodeterm", []string{"vmpi", "notsim"}, []*analysis.Analyzer{detlint.NoDeterm}},
 		{"floatcmp", []string{"core"}, []*analysis.Analyzer{detlint.FloatCmp}},
 		{"lockorder", []string{"locks"}, []*analysis.Analyzer{detlint.LockOrder}},
 		{"wirecover", []string{"wire"}, []*analysis.Analyzer{detlint.WireCover}},
-		{"chanlive", []string{"dist"}, []*analysis.Analyzer{detlint.ChanLive}},
-		// stoptoken was folded into chanlive; its cases stay as a
-		// regression set that chanlive must still catch in full.
-		{"stoptoken", []string{"dist"}, []*analysis.Analyzer{detlint.ChanLive}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -46,7 +41,7 @@ func TestAllowProtocol(t *testing.T) {
 // TestNames pins the allow-comment vocabulary; renaming an analyzer is an
 // interface change for every suppression in the repo.
 func TestNames(t *testing.T) {
-	want := []string{"fingerprintcover", "nodeterm", "floatcmp", "lockorder", "wirecover", "chanlive"}
+	want := []string{"nodeterm", "floatcmp", "lockorder", "wirecover"}
 	got := detlint.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

@@ -25,11 +25,9 @@ import (
 // body's ir control-flow graph: meet is intersection, so a lock counts as
 // held only where every path to that point holds it, and `defer
 // mu.Unlock()` needs no special case because ir replays deferred calls in
-// the exit block. What can block is blockingOps' decision, less Wait:
-// sync.Cond.Wait releases its mutex while it waits and must be called
-// under it. May-acquire / may-block summaries propagate over the
-// in-package static callgraph to a fixed point. Lock identity is
-// structural — "Type.field" for field mutexes, "pkg.var" for
+// the exit block. What can block is blockingOps' decision. May-acquire and
+// may-block summaries propagate over the in-package static callgraph to a
+// fixed point. Lock identity is structural — "Type.field" for field mutexes, "pkg.var" for
 // package-level ones, "func.name" for locals — so two *instances* of a
 // type share an identity: what is ordered is the code path, not the
 // runtime object. Every function body is its own root, starting with
@@ -370,11 +368,8 @@ var lockorderWhat = [...]string{
 }
 
 // blockingOp records a blocking channel operation and reports it when any
-// lock is held. A Wait call is not one here (see LockOrder).
+// lock is held.
 func (w *lockWalker) blockingOp(op blockingOp, held heldSet) {
-	if op.kind == blockWait {
-		return
-	}
 	w.res.blocks = true
 	if len(held) > 0 {
 		w.pass.Reportf(op.pos, "blocking %s while holding %s — a lock held across a channel operation couples it to every peer goroutine and can deadlock; release first, or justify with //detlint:allow lockorder <reason>", lockorderWhat[op.kind], joinIDs(snapshot(held)))

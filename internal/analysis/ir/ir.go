@@ -2,13 +2,11 @@
 // per-function control-flow graph built from syntax alone (if/for/range/
 // switch/type-switch/select/defer/goto and labeled break/continue all
 // lowered to blocks and edges) and a generic forward worklist solver over
-// it. chanlive (must a stop be observed before every blocking operation)
-// and lockorder (which locks are held on every path to this point) are
-// built on it. Like package analysis
-// itself, the shapes deliberately stay close to the upstream
-// golang.org/x/tools/go/cfg vocabulary so a migration would be an import
-// change, not a rewrite (x/tools cannot be vendored here; builds must work
-// from a clean module cache).
+// it. lockorder (which locks are held on every path to this point) is
+// built on it. Like package analysis itself, the shapes deliberately stay
+// close to the upstream golang.org/x/tools/go/cfg vocabulary so a
+// migration would be an import change, not a rewrite (x/tools cannot be
+// vendored here; builds must work from a clean module cache).
 //
 // # Block contents
 //
@@ -47,15 +45,13 @@ type Block struct {
 	Preds []*Block
 }
 
-// A Branch records one conditional construct: the block that ends in the
-// branch and the construct's keyword.
-type Branch struct {
-	// Block is the branch head; its successor edges are the branch targets.
+// A Select records one select statement: the block that ends in it and
+// its keyword.
+type Select struct {
+	// Block is the select's head; its successor edges lead to the clauses.
 	Block *Block
-	// Kind is "if", "for", "range", "switch", "typeswitch" or "select".
-	Kind string
-	// Pos is the construct's keyword: where a finding about the construct
-	// as a whole goes, such as a case-less `select {}`.
+	// Pos is the `select` keyword: where a finding about the select as a
+	// whole goes, such as a case-less `select {}`.
 	Pos token.Pos
 }
 
@@ -66,8 +62,8 @@ type Graph struct {
 	// Blocks lists every block in creation order (Entry first, Exit
 	// second), including blocks left unreachable by returns and jumps.
 	Blocks []*Block
-	// Branches lists every conditional construct, in source order.
-	Branches []Branch
+	// Selects lists every select statement, in source order.
+	Selects []Select
 	// Defers lists every defer statement, in source order; their call
 	// expressions are replayed in Exit.Nodes in reverse order.
 	Defers []*ast.DeferStmt
@@ -293,7 +289,6 @@ func (b *builder) ifStmt(x *ast.IfStmt) {
 	}
 	b.add(x.Cond)
 	head := b.cur
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "if", Pos: x.If})
 	then := b.newBlock("if.then")
 	b.jump(head, then)
 	b.cur = then
@@ -325,7 +320,6 @@ func (b *builder) forStmt(x *ast.ForStmt, label string) {
 	b.jump(b.ensure(), head)
 	if x.Cond != nil {
 		head.Nodes = append(head.Nodes, x.Cond)
-		b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "for", Pos: x.For})
 	}
 	body := b.newBlock("for.body")
 	join := b.newBlock("for.join")
@@ -352,7 +346,6 @@ func (b *builder) rangeStmt(x *ast.RangeStmt, label string) {
 	head := b.newBlock("range.head")
 	b.jump(b.ensure(), head)
 	head.Nodes = append(head.Nodes, x)
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "range", Pos: x.For})
 	body := b.newBlock("range.body")
 	join := b.newBlock("range.join")
 	b.jump(head, body)
@@ -394,7 +387,6 @@ func (b *builder) switchStmt(x *ast.SwitchStmt, label string) {
 		b.jump(head, blk)
 		clauses = append(clauses, clause{blk, cc})
 	}
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "switch", Pos: x.Switch})
 	if !hasDefault {
 		b.jump(head, join)
 	}
@@ -426,7 +418,6 @@ func (b *builder) typeSwitchStmt(x *ast.TypeSwitchStmt, label string) {
 	b.add(x.Assign)
 	head := b.cur
 	join := b.newBlock("switch.join")
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "typeswitch", Pos: x.Switch})
 	hasDefault := false
 	type clause struct {
 		blk *Block
@@ -462,8 +453,7 @@ func (b *builder) typeSwitchStmt(x *ast.TypeSwitchStmt, label string) {
 func (b *builder) selectStmt(x *ast.SelectStmt, label string) {
 	head := b.ensure()
 	join := b.newBlock("select.join")
-	b.g.Branches = append(b.g.Branches, Branch{Block: head, Kind: "select", Pos: x.Select})
-	hasDefault := false
+	b.g.Selects = append(b.g.Selects, Select{Block: head, Pos: x.Select})
 	type clause struct {
 		blk *Block
 		cc  *ast.CommClause
@@ -474,7 +464,6 @@ func (b *builder) selectStmt(x *ast.SelectStmt, label string) {
 		kind := "select.case"
 		if cc.Comm == nil {
 			kind = "select.default"
-			hasDefault = true
 		}
 		blk := b.newBlock(kind)
 		if cc.Comm != nil {
@@ -486,7 +475,6 @@ func (b *builder) selectStmt(x *ast.SelectStmt, label string) {
 	// A select without a default blocks until some case fires: there is
 	// deliberately no head→join bypass edge, so "join reached" means "a
 	// clause ran" in every downstream analysis.
-	_ = hasDefault
 	b.frames = append(b.frames, frame{label: label, brk: join})
 	for _, cl := range clauses {
 		b.cur = cl.blk

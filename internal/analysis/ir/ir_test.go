@@ -73,13 +73,11 @@ func TestGraphShape(t *testing.T) {
 	t.Run("select default is a head successor", func(t *testing.T) {
 		g := ir.New(fixtureFunc(t, f, "selectDefault").Body)
 		var head *ir.Block
-		for _, br := range g.Branches {
-			if br.Kind == "select" {
-				head = br.Block
-			}
+		for _, sel := range g.Selects {
+			head = sel.Block
 		}
 		if head == nil {
-			t.Fatal("no select branch recorded")
+			t.Fatal("no select recorded")
 		}
 		foundDefault := false
 		for _, s := range head.Succs {
@@ -101,9 +99,9 @@ func TestGraphShape(t *testing.T) {
 			}
 			return sel == nil
 		})
-		for _, br := range ir.New(fd.Body).Branches {
-			if br.Kind == "select" && br.Pos != sel.Select {
-				t.Errorf("select branch Pos = %d, want its keyword at %d", br.Pos, sel.Select)
+		for _, rec := range ir.New(fd.Body).Selects {
+			if rec.Pos != sel.Select {
+				t.Errorf("select Pos = %d, want its keyword at %d", rec.Pos, sel.Select)
 			}
 		}
 	})

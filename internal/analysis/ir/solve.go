@@ -22,10 +22,10 @@ type Facts[F any] struct {
 }
 
 // Solve runs the worklist algorithm to a fixed point, propagating facts
-// along successor edges (chanlive's must-have-observed, lockorder's
-// must-held). Blocks are seeded in index order and re-queued only when an
-// output fact changes, so iteration order — and therefore Steps — is
-// deterministic for a given graph.
+// along successor edges (lockorder's must-held). Blocks are seeded in
+// index order and re-queued only when an output fact changes, so
+// iteration order — and therefore Steps — is deterministic for a given
+// graph.
 func Solve[F any](g *Graph, p Problem[F]) Facts[F] {
 	f := Facts[F]{In: make(map[*Block]F, len(g.Blocks)), Out: make(map[*Block]F, len(g.Blocks))}
 	for _, b := range g.Blocks {

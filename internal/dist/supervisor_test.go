@@ -1,16 +1,20 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"columbia/internal/report"
+	"columbia/internal/sweep"
 	"columbia/internal/vmpi"
 )
 
@@ -375,22 +379,32 @@ func TestFaultSupervisorSpawnFailure(t *testing.T) {
 	}
 }
 
+// ackSpawn starts fake workers that answer the handshake with ack and then
+// read requests without ever replying: processes whose stream stays
+// silent until Kill.
+func ackSpawn(ack HelloAck) Spawn {
+	return func() (Proc, error) {
+		inR, inW := io.Pipe()
+		outR, outW := io.Pipe()
+		go func() {
+			if _, _, err := readFrame(inR); err == nil {
+				_ = writeFrame(outW, frameHelloAck, ack)
+			}
+			_, _ = io.Copy(io.Discard, inR)
+		}()
+		return &pipeProc{r: outR, w: inW, wr: outW, rr: inR}, nil
+	}
+}
+
 // TestFaultSupervisorVersionMismatchFailsFast: an incompatible worker
 // binary poisons the lane permanently — no respawn storm, every point
 // fails with the mismatch instead of a quarantine loop.
 func TestFaultSupervisorVersionMismatchFailsFast(t *testing.T) {
 	var spawns atomic.Int64
+	stale := ackSpawn(HelloAck{Version: ProtocolVersion + 7}) // another protocol generation
 	staleSpawn := func() (Proc, error) {
 		spawns.Add(1)
-		inR, inW := io.Pipe()
-		outR, outW := io.Pipe()
-		go func() {
-			// A worker from another protocol generation: acks the wrong
-			// version (readFrame tolerates the hello it can't fathom).
-			_, _, _ = readFrame(inR)
-			_ = writeFrame(outW, frameHelloAck, HelloAck{Version: ProtocolVersion + 7})
-		}()
-		return &pipeProc{r: outR, w: inW, wr: outW, rr: inR}, nil
+		return stale()
 	}
 	s := newTestSupervisor(t, Config{Workers: 1, Spawn: staleSpawn, Backoff: time.Millisecond})
 	s.after = immediateClock(nil)
@@ -459,3 +473,210 @@ func TestFaultSupervisorCancellationMidPoint(t *testing.T) {
 		t.Errorf("cancellation must not quarantine: %+v", st)
 	}
 }
+
+// TestFaultWorkerPanicIsAPointFailure: an executor that panics fails its
+// point, not its worker. The error carries failure kind "panic" and the
+// first line of the *sweep.PanicError the same point builds in-process, so
+// the cell renders "!panic" either way; nothing crashes or restarts, and
+// the same worker serves the next point.
+func TestFaultWorkerPanicIsAPointFailure(t *testing.T) {
+	var spawns atomic.Int64
+	boom := func(context.Context) ([]byte, error) { panic("builder bug") }
+	setup := func(Hello) (Executor, error) {
+		return func(ctx context.Context, _, key string, _ []byte) ([]byte, error) {
+			if key == "fam/bad" {
+				return boom(ctx)
+			}
+			return []byte("fine"), nil
+		}, nil
+	}
+	s := newTestSupervisor(t, Config{Workers: 1, Spawn: pipeSpawn(setup, &spawns, nil)})
+	_, err := s.Do(context.Background(), "p=1", "echo", "fam/bad", nil)
+	if kind := report.FailureKind(err); kind != "panic" {
+		t.Fatalf("Do = %v (kind %q), want a point failure of kind panic", err, kind)
+	}
+	_, local := sweep.CachedCtx(sweep.NewPool(1), "fam/bad", boom).WaitErr()
+	firstLine := func(err error) string { line, _, _ := strings.Cut(err.Error(), "\n"); return line }
+	if got, want := firstLine(err), firstLine(local); got != want {
+		t.Errorf("worker panic reads %q, want the in-process %q", got, want)
+	}
+	got, err := s.Do(context.Background(), "p=1", "echo", "fam/ok", nil)
+	if err != nil || string(got) != "fine" {
+		t.Fatalf("follow-up Do = %q, %v", got, err)
+	}
+	if st := s.Stats(); st != (Stats{}) {
+		t.Errorf("stats = %+v, want zeros (a panicking point is not a crashed worker)", st)
+	}
+	if n := spawns.Load(); n != 1 {
+		t.Errorf("spawns = %d, want 1 (the worker survived the panic)", n)
+	}
+}
+
+// TestFaultSupervisorLeavesNoGoroutines: however a lane ends, no goroutine
+// of dist outlives Close — no lane (New), no reader of a worker stream
+// (ensure's readLoop), and for in-process workers no serve loop or
+// heartbeat ticker — so the count falls back to its value before New. The
+// in-process workers' serve loops end by a shutdown frame (Close) or a
+// chaos kill (wkill, wcorrupt, wtrunc).
+func TestFaultSupervisorLeavesNoGoroutines(t *testing.T) {
+	echo := pipeSpawn(echoSetup(nil), nil, nil)
+	// Heartbeats start a ticker goroutine per point in every in-process
+	// worker; the hour-long grace keeps a slow host from killing one.
+	beat := func(faults string) Hello { return Hello{Faults: faults, Heartbeat: time.Millisecond} }
+	// fails dispatches one point, which must fail with an error naming
+	// each of words.
+	fails := func(words ...string) func(*Supervisor) error {
+		return func(s *Supervisor) error {
+			_, err := s.Do(context.Background(), "p=1", "echo", "fam/x", nil)
+			for _, w := range words {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					return fmt.Errorf("Do = %v, want a failure naming %q", err, w)
+				}
+			}
+			return nil
+		}
+	}
+	quarantined := func(cause string) func(*Supervisor) error { return fails("quarantined", cause) }
+	silent := ackSpawn(HelloAck{Version: ProtocolVersion})
+	cases := []struct {
+		name  string
+		cfg   Config
+		drive func(*Supervisor) error
+	}{
+		{"round-trip", Config{Workers: 2, Spawn: echo, Hello: beat(""), Grace: time.Hour}, doPoints(4, false)},
+		{"wkill-restart", Config{Workers: 1, Spawn: echo, Hello: beat("wkill=1"), Grace: time.Hour}, doPoints(3, true)},
+		{"wkill-quarantine", Config{Workers: 1, Spawn: echo, Hello: beat("wkill=0"), Grace: time.Hour, PoisonK: 2}, quarantined("dist: worker stream")},
+		{"wcorrupt", Config{Workers: 1, Spawn: echo, Hello: beat("wcorrupt=2"), Grace: time.Hour}, doPoints(3, true)},
+		{"wtrunc", Config{Workers: 1, Spawn: echo, Hello: beat("wtrunc=2"), Grace: time.Hour}, doPoints(3, true)},
+		{"heartbeat-deadline", Config{Workers: 1, Spawn: silent, Grace: time.Nanosecond, PoisonK: 2}, quarantined("dist: worker missed heartbeat deadline")},
+		{"version-mismatch", Config{Workers: 1, Spawn: ackSpawn(HelloAck{Version: ProtocolVersion + 1})}, fails("version mismatch")},
+		{"spawn-failure", Config{Workers: 1, Spawn: func() (Proc, error) { return nil, errors.New("no fork") }, PoisonK: 2}, quarantined("dist: spawn worker: no fork")},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { leakCheck(t, c.cfg, c.drive) })
+	}
+
+	t.Run("canceled-mid-flight", func(t *testing.T) {
+		// The canceled lane abandons a worker whose stream outruns the
+		// 16-event buffer: readLoop must park on the stop, not the send.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		p := &chattyProc{onRequest: cancel}
+		spawn := func() (Proc, error) { return p, nil }
+		leakCheck(t, Config{Workers: 1, Spawn: spawn}, func(s *Supervisor) error {
+			if _, err := s.Do(ctx, "p=1", "echo", "fam/x", nil); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("Do = %v, want context.Canceled", err)
+			}
+			return nil
+		})
+	})
+}
+
+// leakCheck runs drive on a supervisor built from cfg, whose restart
+// backoff fires at once, closes it, and fails unless the goroutine count
+// falls back to its value before New.
+func leakCheck(t *testing.T, cfg Config, drive func(*Supervisor) error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.after = immediateClock(nil)
+	bounded(t, "dispatching", func() { err = drive(s) })
+	if err != nil {
+		t.Error(err)
+	}
+	bounded(t, "Close", s.Close)
+	awaitGoroutines(t, before)
+}
+
+// doPoints dispatches n echo points and checks each result, and that
+// workers crashed on the way iff crashes.
+func doPoints(n int, crashes bool) func(*Supervisor) error {
+	return func(s *Supervisor) error {
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("fam/point-%d", i)
+			got, err := s.Do(context.Background(), "p=1", "echo", key, nil)
+			if want := "echo/" + key + "="; err != nil || string(got) != want {
+				return fmt.Errorf("Do(%s) = %q, %v; want %q", key, got, err, want)
+			}
+		}
+		if st := s.Stats(); (st.Crashes > 0) != crashes || st.Quarantined != 0 {
+			return fmt.Errorf("stats = %+v, want crashes %v and no quarantine", st, crashes)
+		}
+		return nil
+	}
+}
+
+// bounded runs f and fails the test if it has not returned within five
+// seconds, so a goroutine that never exits fails instead of hanging.
+func bounded(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5s", what)
+	}
+}
+
+// awaitGoroutines fails the test unless the goroutine count falls to at
+// most want within five seconds, dumping every goroutine's stack if not.
+func awaitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		select {
+		case <-deadline:
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before, %d after:\n%s", want, got, buf[:runtime.Stack(buf, true)])
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// chattyProc is a worker that acks the handshake and then streams
+// heartbeats without end, before and after Kill, like a pipe still full
+// of frames from a process that was told to die. It runs no goroutine:
+// Read makes the next frame on demand. onRequest runs when the first
+// request arrives.
+type chattyProc struct {
+	mu        sync.Mutex
+	out       bytes.Buffer
+	writes    int
+	onRequest func()
+}
+
+func (p *chattyProc) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	p.writes++
+	n := p.writes
+	if n == 1 { // the hello
+		_ = writeFrame(&p.out, frameHelloAck, HelloAck{Version: ProtocolVersion})
+	}
+	p.mu.Unlock()
+	if n == 2 {
+		p.onRequest()
+	}
+	return len(b), nil
+}
+
+func (p *chattyProc) Read(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.out.Len() == 0 {
+		_ = writeFrame(&p.out, frameHeartbeat, Heartbeat{})
+	}
+	return p.out.Read(b)
+}
+
+func (p *chattyProc) Kill() error { return nil }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -139,8 +140,14 @@ func ServeWorker(r io.Reader, w io.Writer, setup Setup) error {
 // runPoint executes one request under the handshake's wall-clock budget,
 // converting a panicking executor into an error instead of killing the
 // process (a deterministic panic would otherwise burn the whole restart
-// budget re-crashing on re-dispatch).
+// budget re-crashing on re-dispatch). The error is the *sweep.PanicError
+// an in-process point builds, so the cell degrades to the same "!panic".
 func runPoint(exec Executor, timeout time.Duration, req Request) (result []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &sweep.PanicError{Key: req.Key, Value: r, Stack: string(debug.Stack())}
+		}
+	}()
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc

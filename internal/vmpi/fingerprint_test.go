@@ -1,10 +1,17 @@
 package vmpi
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"columbia/internal/analysis/analysistest"
 	"columbia/internal/fault"
 	"columbia/internal/machine"
 	"columbia/internal/netmodel"
@@ -12,57 +19,244 @@ import (
 	"columbia/internal/pinning"
 )
 
-// fingerprintMutators changes each Config field to a value that must
-// produce a different simulation result. TestFingerprintCoversEveryField
-// walks the struct by reflection, so adding a field to Config without
-// registering a mutator here fails the test — and the mutator in turn
-// fails unless Fingerprint folds the new field in. Together with the
-// fingerprintcover analyzer this closes the cache-aliasing hole from both
-// ends: statically (the field must be read) and behaviorally (reading it
-// must change the key).
-var fingerprintMutators = map[string]func(*Config){
-	"Cluster":       func(c *Config) { c.Cluster = machine.NewBX2bQuad() },
-	"Net":           func(c *Config) { c.Net = &netmodel.Model{C: c.Cluster, MPT: machine.MPT111r} },
-	"Procs":         func(c *Config) { c.Procs = 8 },
-	"Threads":       func(c *Config) { c.Threads = 2 },
-	"Nodes":         func(c *Config) { c.Nodes = 2 },
-	"Stride":        func(c *Config) { c.Stride = 2 },
-	"Pin":           func(c *Config) { c.Pin = pinning.None },
-	"ComputeFactor": func(c *Config) { c.ComputeFactor = 1.7 },
-	"OMP":           func(c *Config) { c.OMP.SerialFraction = 0.25 },
-	"RandomPattern": func(c *Config) { c.RandomPattern = true },
-	"Faults":        func(c *Config) { c.Faults = fault.New().SlowNode(0, 2) },
-	"Noise":         func(c *Config) { c.Noise = noise.New().WithUniform(0.1).WithSeed(7) },
-	"Sanitize":      func(c *Config) { c.Sanitize = true },
+// A memo-cache key must move whenever any of its inputs does, or two
+// result-distinct configurations share a cache entry. The mutator tables
+// below hold every type with a Fingerprint method to that: each maps a
+// field, by name, to a change of that field alone from the type's base
+// value. TestFingerprintCoversEveryField enumerates the fields by
+// reflection, unexported ones included, so a new field without a mutator
+// fails it, and so does a mutator that leaves the fingerprint unmoved or
+// names a field that is gone.
+
+// configMutators change one Config field each. OMP, Cluster and Net are
+// expanded into their own fields; a Cluster or Net mutator installs a
+// changed copy, so the shared base cluster is never written. Faults and
+// Noise enter the key through their own Fingerprint methods, covered by
+// planMutators and specMutators.
+var configMutators = map[string]func(*Config){
+	"Cluster.Nodes": func(c *Config) {
+		withCluster(c, func(cl *machine.Cluster) { cl.Nodes = machine.NewSingleNode(machine.AltixBX2b).Nodes })
+	},
+	"Cluster.Fabric":         func(c *Config) { withCluster(c, func(cl *machine.Cluster) { cl.Fabric = machine.InfiniBand }) },
+	"Cluster.IBCardsPerNode": func(c *Config) { withCluster(c, func(cl *machine.Cluster) { cl.IBCardsPerNode = 4 }) },
+	"Cluster.IBConnsPerCard": func(c *Config) { withCluster(c, func(cl *machine.Cluster) { cl.IBConnsPerCard = 1024 }) },
+	"Net.C":                  func(c *Config) { withNet(c, func(n *netmodel.Model) { n.C = machine.NewBX2bQuad() }) },
+	"Net.MPT":                func(c *Config) { withNet(c, func(n *netmodel.Model) { n.MPT = machine.MPT111r }) },
+	"Procs":                  func(c *Config) { c.Procs = 8 },
+	"Threads":                func(c *Config) { c.Threads = 2 },
+	"Nodes":                  func(c *Config) { c.Nodes = 2 },
+	"Stride":                 func(c *Config) { c.Stride = 2 },
+	"Pin":                    func(c *Config) { c.Pin = pinning.None },
+	"ComputeFactor":          func(c *Config) { c.ComputeFactor = 1.7 },
+	"OMP.SharedFraction":     func(c *Config) { c.OMP.SharedFraction = 0.3 },
+	"OMP.Method":             func(c *Config) { c.OMP.Method = pinning.None },
+	"OMP.Regions":            func(c *Config) { c.OMP.Regions = 4 },
+	"OMP.SerialFraction":     func(c *Config) { c.OMP.SerialFraction = 0.25 },
+	"OMP.MaxUseful":          func(c *Config) { c.OMP.MaxUseful = 8 },
+	"OMP.SharedWorkingSet":   func(c *Config) { c.OMP.SharedWorkingSet = true },
+	"RandomPattern":          func(c *Config) { c.RandomPattern = true },
+	"Faults":                 func(c *Config) { c.Faults = fault.New().SlowNode(0, 2) },
+	"Noise":                  func(c *Config) { c.Noise = noise.New().WithUniform(0.1).WithSeed(7) },
+	"Sanitize":               func(c *Config) { c.Sanitize = true },
+}
+
+// planMutators change one fault.Plan field each through its builders. The
+// base plan loses a node: a plan whose only directive is transient is
+// empty.
+var planMutators = map[string]func(*fault.Plan){
+	"slowCPU":       func(p *fault.Plan) { p.SlowCPU(0, 1, 2) },
+	"slowNode":      func(p *fault.Plan) { p.SlowNode(1, 2) },
+	"bus":           func(p *fault.Plan) { p.DegradeBus(0, 1, 0.5) },
+	"link":          func(p *fault.Plan) { p.DegradeLink(1, 0.5) },
+	"fabric":        func(p *fault.Plan) { p.DegradeFabric(1, 0.5) },
+	"down":          func(p *fault.Plan) { p.LoseNode(2) },
+	"transient":     func(p *fault.Plan) { p.MarkTransient() },
+	"workerKill":    func(p *fault.Plan) { p.KillWorker(1) },
+	"workerCorrupt": func(p *fault.Plan) { p.CorruptReply(2) },
+	"workerTrunc":   func(p *fault.Plan) { p.TruncateReply(2) },
+	"workerStall":   func(p *fault.Plan) { p.StallWorker(1) },
+	"seed":          func(p *fault.Plan) { p.WithSeed(5) },
+}
+
+// specMutators change one noise.Spec field each through its builders, from
+// uniform jitter and a daemon window on every CPU. Only Pareto jitter has
+// an alpha, and a change of kind from Pareto clears it, so alpha's
+// mutator starts from Pareto jitter instead (paretoMutators).
+var specMutators = map[string]func(*noise.Spec){
+	"kind":    func(s *noise.Spec) { s.WithExp(0.1) },
+	"amp":     func(s *noise.Spec) { s.WithUniform(0.2) },
+	"seed":    func(s *noise.Spec) { s.WithSeed(7) },
+	"period":  func(s *noise.Spec) { s.WithDaemon(20, 0.5, 3, 0) },
+	"duty":    func(s *noise.Spec) { s.WithDaemon(10, 0.25, 3, 0) },
+	"factor":  func(s *noise.Spec) { s.WithDaemon(10, 0.5, 2, 0) },
+	"cpus":    func(s *noise.Spec) { s.WithDaemon(10, 0.5, 3, 4) },
+	"replica": func(s *noise.Spec) { *s = *s.WithReplica(1) },
+}
+
+var paretoMutators = map[string]func(*noise.Spec){
+	"alpha": func(s *noise.Spec) { s.WithPareto(0.1, 2) },
+}
+
+// withCluster and withNet install a changed copy of c's cluster or network
+// model.
+func withCluster(c *Config, change func(*machine.Cluster)) {
+	cl := *c.Cluster
+	change(&cl)
+	c.Cluster = &cl
+}
+
+func withNet(c *Config, change func(*netmodel.Model)) {
+	n := *c.Net
+	change(&n)
+	c.Net = &n
 }
 
 func baseFingerprintConfig() Config {
 	return Config{Cluster: machine.NewSingleNode(machine.Altix3700), Procs: 4, Threads: 1}
 }
 
-// TestFingerprintCoversEveryField mutates each Config field in turn and
-// requires the fingerprint to move.
+// TestFingerprintCoversEveryField applies each mutator to a fresh base
+// value and requires it to change its own field and no other, and to move
+// the fingerprint. Every field of every type with a Fingerprint method in
+// the module's non-test source must have a mutator.
 func TestFingerprintCoversEveryField(t *testing.T) {
-	base := baseFingerprintConfig().Fingerprint()
-	ct := reflect.TypeOf(Config{})
-	for i := 0; i < ct.NumField(); i++ {
-		name := ct.Field(i).Name
-		mutate, ok := fingerprintMutators[name]
-		if !ok {
-			t.Errorf("Config.%s has no fingerprint mutator; register one here and make Fingerprint cover the field", name)
+	// Bases share their clusters, so they print alike. Net models a second,
+	// equal cluster: were it Cluster itself, a Cluster mutator would move
+	// the key by splitting the two, whether or not Fingerprint reads the
+	// field it changed.
+	cl, netCl := machine.NewSingleNode(machine.Altix3700), machine.NewSingleNode(machine.Altix3700)
+	covered := make(map[string]map[string]bool)
+	coverKey(t, covered, func() *Config { return &Config{Cluster: cl, Net: netmodel.New(netCl), Procs: 4, Threads: 1} }, configMutators)
+	coverKey(t, covered, func() *fault.Plan { return fault.New().LoseNode(3) }, planMutators)
+	coverKey(t, covered, func() *noise.Spec { return noise.New().WithUniform(0.1).WithDaemon(10, 0.5, 3, 0) }, specMutators)
+	coverKey(t, covered, func() *noise.Spec { return noise.New().WithPareto(0.1, 1.5) }, paretoMutators)
+	for _, typ := range sortedKeys(covered) {
+		for _, f := range sortedKeys(covered[typ]) {
+			if !covered[typ][f] {
+				t.Errorf("%s.%s has no fingerprint mutator; register one and make Fingerprint cover the field", typ, f)
+			}
+		}
+	}
+	for _, typ := range fingerprintTypes(t, filepath.Join("..", "..")) {
+		if covered[typ] == nil {
+			t.Errorf("%s has a Fingerprint method but no mutator table here; add one for each of its fields", typ)
+		}
+	}
+}
+
+// coverKey checks each of mutators against base, a builder of fresh
+// values of a struct type with a Fingerprint method, and records in
+// covered, under the type's key ("<pkgpath>.<Name>"), each of its fields
+// and whether a mutator covers it.
+func coverKey[T any](t *testing.T, covered map[string]map[string]bool, base func() *T, mutators map[string]func(*T)) {
+	t.Helper()
+	fp := func(v *T) string { return any(v).(interface{ Fingerprint() string }).Fingerprint() }
+	st := reflect.TypeOf((*T)(nil)).Elem()
+	typ := st.PkgPath() + "." + st.Name()
+	if covered[typ] == nil {
+		covered[typ] = make(map[string]bool)
+	}
+	before, fpBefore := leafFields(base()), fp(base())
+	for f := range before {
+		covered[typ][f] = covered[typ][f] || mutators[f] != nil
+	}
+	for _, name := range sortedKeys(mutators) {
+		if _, ok := before[name]; !ok {
+			t.Errorf("%s has a mutator for %s, a field it no longer declares", typ, name)
 			continue
 		}
-		cfg := baseFingerprintConfig()
-		mutate(&cfg)
-		if got := cfg.Fingerprint(); got == base {
-			t.Errorf("mutating Config.%s did not change Fingerprint():\n%s", name, got)
+		v := base()
+		mutators[name](v)
+		after := leafFields(v)
+		for _, f := range sortedKeys(before) {
+			switch changed := before[f] != after[f]; {
+			case f == name && !changed:
+				t.Errorf("%s's mutator for %s leaves the field unchanged", typ, name)
+			case f != name && changed:
+				t.Errorf("%s's mutator for %s also changes %s; a mutator must change its field alone", typ, name, f)
+			}
+		}
+		if got := fp(v); got == fpBefore {
+			t.Errorf("mutating %s.%s did not change Fingerprint():\n%s", typ, name, got)
 		}
 	}
-	for name := range fingerprintMutators {
-		if _, ok := ct.FieldByName(name); !ok {
-			t.Errorf("fingerprintMutators has entry %q for a field Config no longer declares", name)
+}
+
+// leafFields renders every field of the struct *v by name. It expands one
+// level into a field that is a struct ("OMP.MaxUseful") or a non-nil
+// pointer to one ("Cluster.Fabric"), unless the struct has a Fingerprint
+// method and so a mutator table of its own.
+func leafFields(v any) map[string]string {
+	fingerprinter := reflect.TypeOf((*interface{ Fingerprint() string })(nil)).Elem()
+	sv := reflect.ValueOf(v).Elem()
+	out := make(map[string]string)
+	for i := 0; i < sv.NumField(); i++ {
+		name, f := sv.Type().Field(i).Name, sv.Field(i)
+		if f.Kind() == reflect.Pointer && !f.IsNil() && !f.Type().Implements(fingerprinter) {
+			f = f.Elem()
+		}
+		if f.Kind() != reflect.Struct {
+			out[name] = fmt.Sprint(f)
+			continue
+		}
+		for j := 0; j < f.NumField(); j++ {
+			out[name+"."+f.Type().Field(j).Name] = fmt.Sprint(f.Field(j))
 		}
 	}
+	return out
+}
+
+// fingerprintTypes parses every non-test Go file of the module under root
+// and returns the types that declare a Fingerprint method, keyed
+// "<pkgpath>.<Name>".
+func fingerprintTypes(t *testing.T, root string) []string {
+	t.Helper()
+	var types []string
+	for _, pd := range analysistest.ModuleDirs(t, root, "columbia") {
+		names, err := filepath.Glob(filepath.Join(pd.Dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Name.Name != "Fingerprint" {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				id, ok := recv.(*ast.Ident)
+				if !ok {
+					t.Errorf("%s: cannot name the receiver type of a Fingerprint method", name)
+					continue
+				}
+				types = append(types, pd.Path+"."+id.Name)
+			}
+		}
+	}
+	if len(types) == 0 {
+		t.Fatalf("found no Fingerprint method under %s: the walk is broken", root)
+	}
+	sort.Strings(types)
+	return types
+}
+
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestFingerprintStableForEqualConfigs: independently built but equal

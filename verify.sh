@@ -35,7 +35,10 @@ echo "== colbench module: go vet, go test =="
 # The fault-injection and crash-recovery tests (TestFault* across vmpi,
 # sweep, fault, dist, core and the CLI) exercise goroutine shutdown,
 # retries, cancellation and worker restarts; run them repeatedly to shake
-# out nondeterministic flakes before they reach the golden suites.
+# out nondeterministic flakes before they reach the golden suites. They
+# include the two goroutine-leak tests, vmpi's
+# TestFaultShutdownLeavesNoGoroutines and dist's
+# TestFaultSupervisorLeavesNoGoroutines, which own goroutine lifetimes.
 echo "== go test -run Fault -count=5 (flake gate) =="
 go test -timeout 10m -run Fault -count=5 \
 	./internal/fault/ ./internal/vmpi/ ./internal/sweep/ ./internal/report/ ./internal/dist/ \
