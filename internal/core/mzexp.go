@@ -49,8 +49,7 @@ func mzTime(bench string, class npb.Class, cl ClusterRef, procs, threads, nodes 
 
 // mzGflops converts a per-step time into whole-job Gflop/s.
 func mzGflops(bench string, class npb.Class, perStep float64) float64 {
-	_, info := npbmz.Skeleton(bench, class, 1)
-	return info.FlopsPerStep / perStep / 1e9
+	return npbmz.FlopsPerStep(bench, class) / perStep / 1e9
 }
 
 func runFig7() []*report.Table {

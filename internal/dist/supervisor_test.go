@@ -259,6 +259,7 @@ func TestFaultSupervisorRecoversDamagedFrames(t *testing.T) {
 // heartbeats — is killed at the grace deadline and the point quarantined
 // after PoisonK stalls.
 func TestFaultSupervisorHeartbeatDeadline(t *testing.T) {
+	before := runtime.NumGoroutine()
 	graceArms := 0
 	s := newTestSupervisor(t, Config{
 		Workers: 1,
@@ -289,6 +290,10 @@ func TestFaultSupervisorHeartbeatDeadline(t *testing.T) {
 	if st := s.Stats(); st.Crashes != 2 || st.Quarantined != 1 {
 		t.Errorf("stats = %+v, want 2 crashes, 1 quarantined", st)
 	}
+	// Each kill closed its stalled worker's request stream, so neither
+	// worker outlives the supervisor.
+	s.Close()
+	awaitGoroutines(t, before)
 }
 
 // TestFaultSupervisorHeartbeatsResetDeadline: a slow-but-alive worker keeps

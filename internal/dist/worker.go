@@ -103,13 +103,12 @@ func ServeWorker(r io.Reader, w io.Writer, setup Setup) error {
 		}
 		if at, ok := chaos.WorkerStallRequest(); ok && served == at {
 			// Stall: no heartbeats, no reply — hold the pipe open until the
-			// supervisor's grace deadline expires and it kills the process.
-			// Sleeping (rather than select{}) keeps the Go runtime's
-			// deadlock detector from killing a single-goroutine worker
-			// process early: a stall must look like a hang, not a crash.
-			for {
-				time.Sleep(time.Hour)
-			}
+			// supervisor's grace deadline expires and it kills the worker.
+			// Draining the request stream keeps the stall a hang, not a
+			// crash: a blocked read is no deadlock to the Go runtime. The
+			// kill closes the stream, and the serve loop ends with it.
+			_, _ = io.Copy(io.Discard, r)
+			return ErrChaosKill
 		}
 		stop := heartbeat(w, &wmu, hello.Heartbeat)
 		result, rerr := runPoint(exec, hello.Timeout, req)

@@ -16,12 +16,15 @@ import (
 // overheads, parallelism caps) comes from the omp model via the engine's
 // hybrid configuration.
 
-// Per-point solver costs. BT-MZ runs the block-tridiagonal solver; SP-MZ's
-// scalar-pentadiagonal solver is lighter per point. [calibrated]
-var solverCosts = map[string]struct {
+// solverCost is one solver's per-point cost.
+type solverCost struct {
 	flops, mem, ws float64
 	serialFraction float64
-}{
+}
+
+// Per-point solver costs. BT-MZ runs the block-tridiagonal solver; SP-MZ's
+// scalar-pentadiagonal solver is lighter per point. [calibrated]
+var solverCosts = map[string]solverCost{
 	"BT-MZ": {2500, 7000, 110, 0.22},
 	"SP-MZ": {1600, 4200, 70, 0.15},
 }
@@ -63,9 +66,9 @@ func (in *Info) OMPOpts() omp.ModelOpts {
 	}
 }
 
-// Skeleton returns the rank program for a hybrid run with `procs` MPI
-// processes (thread count is configured on the engine) plus run info.
-func Skeleton(bench string, class npb.Class, procs int) (func(par.Comm), *Info) {
+// resolve returns the parameters of class and the solver cost of bench,
+// panicking on an unknown one.
+func resolve(bench string, class npb.Class) (Params, solverCost) {
 	p, ok := Classes[class]
 	if !ok {
 		panic(fmt.Sprintf("npbmz: no class %c", class))
@@ -74,15 +77,33 @@ func Skeleton(bench string, class npb.Class, procs int) (func(par.Comm), *Info) 
 	if !ok {
 		panic(fmt.Sprintf("npbmz: unknown benchmark %q", bench))
 	}
+	return p, cost
+}
+
+// FlopsPerStep returns the whole job's flops per step of bench in class:
+// each zone's points times the solver's per-point flops, summed in zone
+// order. It needs no process count, so callers that want only the job's
+// flop rate skip the balancing and face lists a Skeleton builds.
+func FlopsPerStep(bench string, class npb.Class) float64 {
+	p, cost := resolve(bench, class)
+	var f float64
+	for _, z := range Decompose(p, bench == "BT-MZ") {
+		f += z.Points() * cost.flops
+	}
+	return f
+}
+
+// Skeleton returns the rank program for a hybrid run with `procs` MPI
+// processes (thread count is configured on the engine) plus run info.
+func Skeleton(bench string, class npb.Class, procs int) (func(par.Comm), *Info) {
+	p, cost := resolve(bench, class)
 	zones := Decompose(p, bench == "BT-MZ")
 	assign, loads := Balance(zones, procs)
 	info := &Info{
 		Bench: bench, Class: class, Params: p,
 		Zones: zones, Assign: assign, Loads: loads,
-		Iters: p.Niter,
-	}
-	for _, z := range zones {
-		info.FlopsPerStep += z.Points() * cost.flops
+		Iters:        p.Niter,
+		FlopsPerStep: FlopsPerStep(bench, class),
 	}
 	// Precompute per-rank work and cross-rank faces.
 	work := make([]machine.Work, procs)

@@ -1,7 +1,7 @@
 // Package calendar provides the allocation-free data structures behind the
-// event-calendar execution engine in package vmpi: a binary min-heap of
-// scheduling events with lazy invalidation, a FIFO queue that recycles its
-// storage, and a free list for pooled structs.
+// event-calendar execution engine in package vmpi: an indexed binary
+// min-heap holding at most one scheduling event per rank, a FIFO queue that
+// recycles its storage, and a free list for pooled structs.
 //
 // Everything here is deliberately dumb and deterministic: no maps are
 // ranged, no wall clock is read, and every tie is broken by an explicit
@@ -14,85 +14,139 @@
 package calendar
 
 // Event is one entry in the engine's event calendar: rank Rank becomes
-// schedulable at virtual time At. Seq implements lazy invalidation — the
-// engine bumps a per-rank sequence number every time it pushes a fresher
-// event for the same rank, and discards popped events whose Seq no longer
-// matches. Stale events are therefore never removed in place (an O(n)
-// operation on a binary heap); they simply lose every future tie.
+// schedulable at virtual time At. A Heap holds at most one Event per rank
+// and re-keys or removes it in place, so no event is ever stale.
 type Event struct {
 	// At is the virtual time the rank becomes schedulable.
 	At float64
 	// Rank is the rank the event wakes.
 	Rank int32
-	// Seq is the per-rank push sequence number at push time.
-	Seq uint32
 }
 
 // less orders events by (At, Rank): earliest virtual time first, ties to
 // the lowest rank id — exactly the pick order of the goroutine engine's
 // linear scan, which is what makes the two engines replay identically.
-// Two events for the same rank at the same time (differing only in Seq)
-// compare equal; whichever pops first, the stale one fails its Seq check.
+// With one event per rank, no two events of a Heap compare equal.
 func less(a, b Event) bool {
 	return a.At < b.At || (a.At == b.At && a.Rank < b.Rank)
 }
 
-// Heap is a binary min-heap of Events ordered by (At, Rank). The zero
-// value is ready to use. Push and Pop do not allocate once the backing
-// slice has grown to the run's working-set size, and Reset recycles that
-// storage across runs.
+// Heap is an indexed binary min-heap of Events ordered by (At, Rank),
+// holding at most one event per rank: Set inserts a rank's event or re-keys
+// it in place, Remove takes it out, and Min reads the root. Each costs
+// O(log n) in the number of events, which the rank count bounds. Reset
+// readies the heap for a run's ranks; after it, nothing allocates, and the
+// storage is recycled across runs.
 type Heap struct {
 	ev []Event
+	// pos[rank] is one more than the index of rank's event in ev, 0 when
+	// the rank has none.
+	pos []int32
 }
 
-// Reset empties the heap, keeping its storage for reuse.
-func (h *Heap) Reset() { h.ev = h.ev[:0] }
-
-// Push adds an event, sifting it up to its ordered position.
-func (h *Heap) Push(e Event) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h.ev[i], h.ev[parent]) {
-			break
-		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
-		i = parent
+// Reset empties the heap and readies it for rank ids in [0, ranks),
+// keeping its storage for reuse.
+func (h *Heap) Reset(ranks int) {
+	if cap(h.ev) < ranks {
+		h.ev = make([]Event, 0, ranks)
 	}
+	h.ev = h.ev[:0]
+	if cap(h.pos) < ranks {
+		h.pos = make([]int32, ranks)
+	}
+	h.pos = h.pos[:ranks]
+	clear(h.pos)
 }
 
-// Pop removes and returns the minimum event. ok is false when the heap is
-// empty.
-func (h *Heap) Pop() (e Event, ok bool) {
-	n := len(h.ev)
-	if n == 0 {
+// Min returns the earliest event without removing it. ok is false when the
+// heap is empty.
+func (h *Heap) Min() (e Event, ok bool) {
+	if len(h.ev) == 0 {
 		return Event{}, false
 	}
-	e = h.ev[0]
-	h.ev[0] = h.ev[n-1]
-	h.ev = h.ev[:n-1]
-	h.siftDown(0)
-	return e, true
+	return h.ev[0], true
 }
 
-func (h *Heap) siftDown(i int) {
+// Set schedules rank at virtual time at: it inserts the rank's event, or
+// re-keys the one the rank has and moves it up or down into order.
+func (h *Heap) Set(rank int32, at float64) {
+	i := int(h.pos[rank]) - 1
+	if i < 0 {
+		h.ev = append(h.ev, Event{At: at, Rank: rank})
+		h.up(len(h.ev) - 1)
+		return
+	}
+	h.ev[i].At = at
+	h.fix(i)
+}
+
+// Remove takes rank's event out of the heap; a rank without one is left
+// as it is.
+func (h *Heap) Remove(rank int32) {
+	i := int(h.pos[rank]) - 1
+	if i < 0 {
+		return
+	}
+	h.pos[rank] = 0
+	n := len(h.ev) - 1
+	last := h.ev[n]
+	h.ev = h.ev[:n]
+	if i < n {
+		h.ev[i] = last
+		h.fix(i)
+	}
+}
+
+// fix restores the order around index i after its event changed.
+func (h *Heap) fix(i int) {
+	if i > 0 && less(h.ev[i], h.ev[(i-1)/2]) {
+		h.up(i)
+	} else {
+		h.down(i)
+	}
+}
+
+// up moves the event at index i toward the root past every parent that
+// orders after it.
+func (h *Heap) up(i int) {
+	e := h.ev[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(e, h.ev[p]) {
+			break
+		}
+		h.place(i, h.ev[p])
+		i = p
+	}
+	h.place(i, e)
+}
+
+// down moves the event at index i toward the leaves past every child that
+// orders before it.
+func (h *Heap) down(i int) {
+	e := h.ev[i]
 	n := len(h.ev)
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && less(h.ev[l], h.ev[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && less(h.ev[r], h.ev[min]) {
-			min = r
+		if r := c + 1; r < n && less(h.ev[r], h.ev[c]) {
+			c = r
 		}
-		if min == i {
-			return
+		if !less(h.ev[c], e) {
+			break
 		}
-		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
-		i = min
+		h.place(i, h.ev[c])
+		i = c
 	}
+	h.place(i, e)
+}
+
+// place stores e at index i and records the position for its rank.
+func (h *Heap) place(i int, e Event) {
+	h.ev[i] = e
+	h.pos[e.Rank] = int32(i + 1)
 }
 
 // Queue is a FIFO of T that recycles its backing storage: Pop advances a

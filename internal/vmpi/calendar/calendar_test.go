@@ -2,82 +2,230 @@ package calendar
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
 
+// checkHeap verifies the heap order and that pos indexes every event.
+func checkHeap(t *testing.T, h *Heap) {
+	t.Helper()
+	for i, e := range h.ev {
+		if i > 0 && less(e, h.ev[(i-1)/2]) {
+			t.Fatalf("event %d %+v orders before its parent %+v", i, e, h.ev[(i-1)/2])
+		}
+		if got := h.pos[e.Rank]; int(got) != i+1 {
+			t.Fatalf("pos[%d] = %d, want %d", e.Rank, got, i+1)
+		}
+	}
+	n := 0
+	for _, p := range h.pos {
+		if p != 0 {
+			n++
+		}
+	}
+	if n != len(h.ev) {
+		t.Fatalf("%d ranks have a position, heap holds %d events", n, len(h.ev))
+	}
+}
+
+// sortedRef returns the events of a reference that keeps one optional
+// event per rank, in pick order.
+func sortedRef(at []float64, set []bool) []Event {
+	var ev []Event
+	for r, ok := range set {
+		if ok {
+			ev = append(ev, Event{At: at[r], Rank: int32(r)})
+		}
+	}
+	sort.Slice(ev, func(i, j int) bool { return less(ev[i], ev[j]) })
+	return ev
+}
+
+// drain removes every event through Min and Remove, in pick order.
+func drain(h *Heap) []Event {
+	var out []Event
+	for e, ok := h.Min(); ok; e, ok = h.Min() {
+		out = append(out, e)
+		h.Remove(e.Rank)
+	}
+	return out
+}
+
 func TestHeapOrdersByTimeThenRank(t *testing.T) {
 	var h Heap
-	events := []Event{
+	h.Reset(8)
+	for _, e := range []Event{
 		{At: 3.0, Rank: 1},
 		{At: 1.0, Rank: 2},
 		{At: 1.0, Rank: 0},
 		{At: 2.0, Rank: 5},
-		{At: 1.0, Rank: 1},
+		{At: 1.0, Rank: 3},
 		{At: 0.5, Rank: 7},
-	}
-	for _, e := range events {
-		h.Push(e)
+	} {
+		h.Set(e.Rank, e.At)
+		checkHeap(t, &h)
 	}
 	want := []Event{
 		{At: 0.5, Rank: 7},
 		{At: 1.0, Rank: 0},
-		{At: 1.0, Rank: 1},
 		{At: 1.0, Rank: 2},
+		{At: 1.0, Rank: 3},
 		{At: 2.0, Rank: 5},
 		{At: 3.0, Rank: 1},
 	}
-	for i, w := range want {
-		e, ok := h.Pop()
-		if !ok {
-			t.Fatalf("pop %d: heap empty early", i)
-		}
-		if e != w {
-			t.Fatalf("pop %d: got %+v want %+v", i, e, w)
-		}
+	if got := drain(&h); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pick order %v, want %v", got, want)
 	}
-	if _, ok := h.Pop(); ok {
+	if _, ok := h.Min(); ok {
 		t.Fatal("heap should be empty")
 	}
 }
 
+// TestHeapMatchesSortReference drives random Set and Remove sequences —
+// inserts, re-keys up and down, removals of present and absent ranks, on
+// few distinct times so ties are common — and after each step compares Min
+// with the first event of a sorted reference; at the end of each trial the
+// heap drains in the reference's order.
 func TestHeapMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var h Heap
 	for trial := 0; trial < 50; trial++ {
-		var h Heap
-		n := 1 + rng.Intn(200)
-		ref := make([]Event, 0, n)
-		for i := 0; i < n; i++ {
-			e := Event{
-				At:   float64(rng.Intn(20)),
-				Rank: int32(rng.Intn(16)),
-				Seq:  uint32(i),
+		ranks := 1 + rng.Intn(64)
+		h.Reset(ranks)
+		at, set := make([]float64, ranks), make([]bool, ranks)
+		for step := 0; step < 400; step++ {
+			r := int32(rng.Intn(ranks))
+			if rng.Intn(3) == 0 {
+				h.Remove(r)
+				set[r] = false
+			} else {
+				at[r], set[r] = float64(rng.Intn(20)), true
+				h.Set(r, at[r])
 			}
-			h.Push(e)
-			ref = append(ref, e)
+			checkHeap(t, &h)
+			got, ok := h.Min()
+			want := sortedRef(at, set)
+			if ok != (len(want) > 0) || (ok && got != want[0]) {
+				t.Fatalf("trial %d step %d: Min = %+v, %v; reference %v", trial, step, got, ok, want)
+			}
 		}
-		sort.SliceStable(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
-		for i := range ref {
-			e, ok := h.Pop()
-			if !ok {
-				t.Fatalf("trial %d pop %d: heap empty early", trial, i)
-			}
-			// Equal (At, Rank) pairs may pop in any Seq order; compare keys.
-			if e.At != ref[i].At || e.Rank != ref[i].Rank {
-				t.Fatalf("trial %d pop %d: got (%v,%d) want (%v,%d)",
-					trial, i, e.At, e.Rank, ref[i].At, ref[i].Rank)
-			}
+		want := sortedRef(at, set)
+		if got := drain(&h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: drained %v, reference %v", trial, got, want)
+		}
+	}
+}
+
+func TestHeapRekeysInPlace(t *testing.T) {
+	var h Heap
+	h.Reset(8)
+	for r := int32(0); r < 8; r++ {
+		h.Set(r, float64(r))
+	}
+	h.Set(0, 9) // the root moves down to the end of the order
+	checkHeap(t, &h)
+	h.Set(6, -1) // a leaf moves up to the root
+	checkHeap(t, &h)
+	h.Set(3, 3) // an unchanged key stays where it is
+	checkHeap(t, &h)
+	h.Set(4, 2) // a tie at time 2 goes to the lower rank
+	checkHeap(t, &h)
+	if len(h.ev) != 8 {
+		t.Fatalf("re-keying left %d events for 8 ranks", len(h.ev))
+	}
+	want := []Event{{-1, 6}, {1, 1}, {2, 2}, {2, 4}, {3, 3}, {5, 5}, {7, 7}, {9, 0}}
+	if got := drain(&h); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pick order after re-keys %v, want %v", got, want)
+	}
+}
+
+func TestHeapRemove(t *testing.T) {
+	var h Heap
+	for _, c := range []struct {
+		name  string
+		index func(*Heap) int
+	}{
+		{"root", func(*Heap) int { return 0 }},
+		{"middle", func(h *Heap) int { return len(h.ev) / 2 }},
+		{"last", func(h *Heap) int { return len(h.ev) - 1 }},
+	} {
+		const ranks = 16
+		h.Reset(ranks)
+		at, set := make([]float64, ranks), make([]bool, ranks)
+		for r := int32(0); r < ranks; r++ {
+			at[r], set[r] = float64((r*7)%ranks), true
+			h.Set(r, at[r])
+		}
+		gone := h.ev[c.index(&h)].Rank
+		h.Remove(gone)
+		set[gone] = false
+		checkHeap(t, &h)
+		h.Remove(gone) // a second Remove is a no-op
+		checkHeap(t, &h)
+		if h.pos[gone] != 0 || len(h.ev) != ranks-1 {
+			t.Fatalf("%s: rank %d still indexed at %d, %d events left", c.name, gone, h.pos[gone], len(h.ev))
+		}
+		if got, want := drain(&h), sortedRef(at, set); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after removing rank %d the heap drains as %v, want %v", c.name, gone, got, want)
 		}
 	}
 }
 
 func TestHeapReset(t *testing.T) {
 	var h Heap
-	h.Push(Event{At: 2, Rank: 1})
-	h.Push(Event{At: 1, Rank: 3})
-	h.Reset()
-	if _, ok := h.Pop(); ok {
-		t.Fatal("pop after reset should report !ok")
+	h.Reset(8)
+	for r := int32(0); r < 8; r++ {
+		h.Set(r, float64(8-r))
+	}
+	h.Reset(3)
+	if _, ok := h.Min(); ok || len(h.pos) != 3 {
+		t.Fatalf("Reset(3) left %d events and %d positions", len(h.ev), len(h.pos))
+	}
+	h.Remove(2) // no event since the reset: a no-op
+	h.Set(2, 5)
+	h.Set(1, 5)
+	checkHeap(t, &h)
+	if e, _ := h.Min(); e != (Event{At: 5, Rank: 1}) {
+		t.Fatalf("Min after Reset(3) = %+v, want rank 1 at 5", e)
+	}
+	// Growing back within capacity must not revive the positions of ranks
+	// 3..7 from before the first reset.
+	h.Reset(8)
+	checkHeap(t, &h)
+	h.Set(7, 1)
+	if got := drain(&h); !reflect.DeepEqual(got, []Event{{1, 7}}) {
+		t.Fatalf("after Reset(8) the heap holds %v, want only rank 7", got)
+	}
+}
+
+func TestHeapSteadyStateAllocatesNothing(t *testing.T) {
+	const ranks = 64
+	var h Heap
+	h.Reset(ranks)
+	at := 0.0
+	cycle := func() {
+		h.Reset(ranks)
+		for r := int32(0); r < ranks; r++ {
+			h.Set(r, 0)
+		}
+		for i := 0; i < 4*ranks; i++ {
+			e, _ := h.Min()
+			at += 0.5
+			if i%5 == 0 {
+				h.Remove(e.Rank)
+				h.Set(e.Rank, at/2)
+			} else {
+				h.Set(e.Rank, at)
+			}
+		}
+		for e, ok := h.Min(); ok; e, ok = h.Min() {
+			h.Remove(e.Rank)
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Fatalf("steady-state heap cycle allocates %.1f/op, want 0", a)
 	}
 }
 

@@ -88,12 +88,14 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 // per-rank statistics on success, the full error text (deadlock
 // enumerations, wait-for chains, sanitizer violations) on failure — both
 // plain and under the communication sanitizer. The engines share the rank
-// handoff and differ only in the pick, so this checks every scheduling
-// decision the calendar heap makes (lazy invalidation, wildcard wake
-// updates, the eager pushes in send and barrier) against the goroutine
-// engine's O(P) scan of every rank. The seeded corpus under
-// testdata/fuzz covers every op the interpreter knows, so a plain `go
-// test` run replays the interesting shapes without requiring -fuzz.
+// handoff, message delivery and mailboxes, and differ only in the pick, so
+// this checks every scheduling decision the calendar heap makes (the
+// running rank's in-place re-key, the removals when a rank blocks or
+// exits, the wildcard wake's decrease-key, the events set in send and
+// barrier) against the goroutine engine's O(P) scan of every rank. The
+// seeded corpus under testdata/fuzz covers every op the interpreter knows,
+// so a plain `go test` run replays the interesting shapes without
+// requiring -fuzz.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0})                                  // trivial: ranks finish immediately
 	f.Add([]byte{2, 0, 5, 1, 9, 3, 3})                // compute drift + aligned barriers
@@ -105,6 +107,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{7, 5, 1, 5, 2, 0, 7, 3, 3, 4, 42})   // gathers, compute, barrier, ring
 	f.Add([]byte{2, 1, 2, 2, 2, 0, 9, 4, 3, 1, 255})  // send/recv pairs with tag collisions
 	f.Add([]byte{8, 0, 1, 5, 200, 3, 0, 5, 3, 2, 17}) // wide ranks: gather + deadlock mix
+	f.Add([]byte{0, 0, 3, 4, 7})                      // drift, then a ring: rank 0's receive is posted before rank 1 sends
+	f.Add([]byte{3, 4, 1, 0, 5, 4, 2, 4, 3})          // ring shifts: each (dst, src, 9) key drains and refills in one run
+	f.Add([]byte{1, 3, 0, 5, 0})                      // barrier, gather: the last rank in sends first, a nearer rank's later send lowers rank 0's wake
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			t.Skip()

@@ -27,13 +27,14 @@ type engineScratch struct {
 	// run slices off the prefix it needs, so the coroutines of past runs
 	// stay warm. Rank ids equal indices and never change.
 	ranks []*rankState
-	// mail holds this run's mailboxes. Only their storage outlives the
-	// run: acquireScratch empties the set, so a run never sees, probes or
-	// drains another run's (source, tag) queues.
+	// mail holds this run's mailboxes that have undelivered messages. Only
+	// their storage outlives the run: acquireScratch empties the set, so a
+	// run never sees, probes or drains another run's (source, tag) queues.
 	mail mailIndex
 	// msgs pools message structs across runs as well as within one.
 	msgs calendar.FreeList[message]
-	// heap is the event calendar; Reset keeps its storage.
+	// heap is the event calendar, one event per schedulable rank; Reset
+	// keeps its storage.
 	heap calendar.Heap
 	// linkBusy and fabricBusy are the per-node FCFS occupancy clocks,
 	// re-zeroed (and regrown if the cluster is bigger) per run.
@@ -68,14 +69,16 @@ func (k mailKey) hash() uint64 {
 	return z ^ z>>31
 }
 
-// mailbox is one (source, tag) queue of a receiving rank.
+// mailbox is one (source, tag) queue of a receiving rank, or, while its
+// position waits in mailIndex.free, drained storage for the next one.
 type mailbox struct {
 	key mailKey
 	q   msgq
 }
 
 // mailSlot is one open-addressing slot of a mailIndex. A slot whose gen is
-// not the index's current generation is empty, whatever else it holds.
+// not the index's current generation is empty, whatever else it holds;
+// drop stamps emptied slots 0.
 type mailSlot struct {
 	key mailKey
 	gen uint32
@@ -84,7 +87,7 @@ type mailSlot struct {
 
 const (
 	// mailSlotsMin is the table size a run starts from; the index doubles
-	// it whenever the run's mailboxes would fill more than half of it.
+	// it whenever the run's live mailboxes would fill more than half of it.
 	mailSlotsMin = 64
 	// msgqSeed is the per-mailbox backing window: most mailboxes never
 	// hold more than a couple of in-flight messages, and one that does
@@ -92,29 +95,39 @@ const (
 	msgqSeed = 2
 )
 
-// mailIndex is the set of one run's mailboxes: boxes in creation order,
-// and a linear-probing hash index from exact keys to positions in boxes.
-// reset empties both in O(1) — boxes is resliced to zero, and bumping the
-// generation stamp retires every slot — while their storage stays: the
-// next run reuses the elements and queue buffers past len(boxes) and the
-// slot array. Growth moves boxes, so no *msgq may be held across open.
+// mailIndex is the set of one run's live mailboxes — those holding
+// undelivered messages — in box storage, with a linear-probing hash index
+// from exact keys to positions in boxes. pop drops a mailbox it drains from
+// the index at once and files its position in free, where open reuses it,
+// so the storage follows the run's high-water of live mailboxes rather
+// than every key it ever used. reset empties the set in O(1) — boxes and
+// free are resliced to zero, and bumping the generation stamp retires
+// every slot — while the storage stays: the next run reuses the elements
+// and queue buffers past len(boxes) and the slot array. Growth moves
+// boxes, so no *msgq may be held across open.
 type mailIndex struct {
 	boxes []mailbox
+	free  []int32 // positions in boxes of drained mailboxes, for reuse
 	slots []mailSlot
 	mask  uint64 // table size in use minus one; at most len(slots)-1
-	gen   uint32 // current generation; never 0, the zero slot's stamp
+	gen   uint32 // current generation; never 0, the empty slot's stamp
 }
+
+// live returns the number of mailboxes in the index.
+func (x *mailIndex) live() int { return len(x.boxes) - len(x.free) }
 
 // reset retires every mailbox of the previous run.
 func (x *mailIndex) reset() {
 	x.boxes = x.boxes[:0]
+	x.free = x.free[:0]
 	x.resize(mailSlotsMin)
 }
 
 // resize switches to a table of n slots (a power of two), allocating only
-// when n exceeds the storage, and re-indexes the current boxes under a new
-// generation. A wrapped generation counter clears the storage, so a slot
-// stamped 2^32 generations ago cannot come back to life.
+// when n exceeds the storage, and re-indexes the live boxes — those with
+// queued messages — under a new generation. A wrapped generation counter
+// clears the storage, so a slot stamped 2^32 generations ago cannot come
+// back to life.
 func (x *mailIndex) resize(n int) {
 	if n > len(x.slots) {
 		x.slots = make([]mailSlot, n)
@@ -126,8 +139,9 @@ func (x *mailIndex) resize(n int) {
 		x.gen = 1
 	}
 	for i := range x.boxes {
-		k := x.boxes[i].key
-		x.slots[x.find(k)] = mailSlot{key: k, gen: x.gen, box: int32(i)}
+		if b := &x.boxes[i]; b.q.Len() > 0 {
+			x.slots[x.find(b.key)] = mailSlot{key: b.key, gen: x.gen, box: int32(i)}
+		}
 	}
 }
 
@@ -142,8 +156,8 @@ func (x *mailIndex) find(k mailKey) uint64 {
 	}
 }
 
-// lookup returns the queue for (dst, src, tag), or nil when this run has
-// not created it.
+// lookup returns the queue for (dst, src, tag), or nil when it holds no
+// message.
 func (x *mailIndex) lookup(dst, src, tag int) *msgq {
 	s := &x.slots[x.find(mailKey{int32(dst), int32(src), tag})]
 	if s.gen != x.gen {
@@ -152,28 +166,67 @@ func (x *mailIndex) lookup(dst, src, tag int) *msgq {
 	return &x.boxes[s.box].q
 }
 
-// open returns the queue for (dst, src, tag), creating an empty one on
-// first use. A new box reuses the storage a previous run left at that
-// position, drained by its recycle.
+// open returns the queue for (dst, src, tag), creating an empty one when
+// the key holds no message; the caller pushes one at once. A new box takes
+// a drained position from free, else the next one in boxes, whose storage
+// a previous run may have left, drained by its recycle.
 func (x *mailIndex) open(dst, src, tag int) *msgq {
 	k := mailKey{int32(dst), int32(src), tag}
 	i := x.find(k)
 	if s := &x.slots[i]; s.gen == x.gen {
 		return &x.boxes[s.box].q
 	}
-	n := len(x.boxes)
-	if uint64(2*(n+1)) > x.mask+1 {
+	if uint64(2*(x.live()+1)) > x.mask+1 {
 		x.resize(2 * int(x.mask+1))
 		i = x.find(k)
 	}
-	x.slots[i] = mailSlot{key: k, gen: x.gen, box: int32(n)}
-	if n == cap(x.boxes) {
-		x.growBoxes()
+	var b int32
+	if n := len(x.free); n > 0 {
+		b = x.free[n-1]
+		x.free = x.free[:n-1]
+	} else {
+		n := len(x.boxes)
+		if n == cap(x.boxes) {
+			x.growBoxes()
+		}
+		x.boxes = x.boxes[:n+1]
+		b = int32(n)
 	}
-	x.boxes = x.boxes[:n+1]
-	b := &x.boxes[n]
-	b.key = k
-	return &b.q
+	x.slots[i] = mailSlot{key: k, gen: x.gen, box: b}
+	x.boxes[b].key = k
+	return &x.boxes[b].q
+}
+
+// pop removes and returns the head message of (dst, src, tag), or nil when
+// none is queued. A mailbox that pop drains leaves the index at once; its
+// position, queue buffer included, goes to free.
+func (x *mailIndex) pop(dst, src, tag int) *message {
+	i := x.find(mailKey{int32(dst), int32(src), tag})
+	s := &x.slots[i]
+	if s.gen != x.gen {
+		return nil
+	}
+	q := &x.boxes[s.box].q
+	m := q.Pop()
+	if q.Len() == 0 {
+		x.free = append(x.free, s.box)
+		x.drop(i)
+	}
+	return m
+}
+
+// drop empties slot i by backward-shift deletion: every later slot of the
+// probe run whose key may sit at the hole — its home slot does not lie
+// cyclically after the hole — moves back into it, and the hole moves on.
+// The run stays contiguous, so find needs no tombstones.
+func (x *mailIndex) drop(i uint64) {
+	for j := (i + 1) & x.mask; x.slots[j].gen == x.gen; j = (j + 1) & x.mask {
+		if home := x.slots[j].key.hash(); (j-home)&x.mask >= (j-i)&x.mask {
+			x.slots[i] = x.slots[j]
+			i = j
+		}
+	}
+	x.slots[i].gen = 0
 }
 
 // growBoxes doubles the box storage and seeds each new box's queue with a
@@ -229,8 +282,9 @@ const idleRanksMin = 256
 // installed one (WithArena), else the process-wide pool — and readies it
 // for a run of procs ranks on a cluster of nodes boxes. Missing rank
 // records are created with their coroutines; existing ones are reset but
-// keep theirs. The previous run's mailboxes are retired in O(1), whatever
-// its size; only their storage carries over.
+// keep theirs. The previous run's mailboxes, if it left undelivered
+// messages, are retired in O(1), whatever its size; only their storage
+// carries over.
 //
 // The scratch pool owns the per-rank records; growing them here is how reuse amortizes them.
 func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
@@ -245,7 +299,7 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 		r.reset()
 	}
 	s.mail.reset()
-	s.heap.Reset()
+	s.heap.Reset(procs)
 	s.linkBusy = resetFloats(s.linkBusy, nodes)
 	s.fabricBusy = resetFloats(s.fabricBusy, nodes)
 	return s
@@ -255,8 +309,8 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 // it to the pool. Only called after a clean completion, when every rank's
 // program has returned and its coroutine is parked between runs: unmatched
 // messages may legally remain queued (the sanitizer is what forbids them,
-// and it fails the run instead), so the mailboxes this run created — and
-// only those — are emptied in creation order, and the structs go back to
+// and it fails the run instead), so the mailboxes this run still holds —
+// and only those — are emptied in box order, and the structs go back to
 // the free list with payloads dropped, so no stale data can leak into a
 // later run.
 func (e *engine) recycle() {
@@ -308,7 +362,6 @@ func (r *rankState) reset() {
 	r.wantSrc = 0
 	r.wantTag = 0
 	r.recvResult = nil
-	r.seq = 0
 	r.anyWake = 0
 }
 

@@ -1,11 +1,14 @@
 package vmpi
 
 // Unit tests for mailIndex, the per-run (dst, src, tag) mailbox index:
-// keys are exact, growth keeps every box reachable, a generation wrap
-// leaves no stale hit, and a warm rerun of a key set allocates nothing.
+// keys are exact, growth keeps every box reachable, a drained mailbox
+// leaves the index without cutting another key's probe run, a generation
+// wrap leaves no stale hit, and a warm rerun of a key set allocates
+// nothing.
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 )
@@ -145,5 +148,90 @@ func TestMailIndexWarmRerunAllocatesNothing(t *testing.T) {
 	rerun()
 	if a := testing.AllocsPerRun(5, rerun); a != 0 {
 		t.Errorf("warm rerun of %d keys allocates %.1f times, want 0", len(keys), a)
+	}
+}
+
+// TestMailIndexMatchesReference drives open (each followed by a push),
+// lookup and pop in random order against a map of FIFOs. The keys crowd
+// the starting table's probe runs: a dozen share one home slot, and a
+// dozen more have the table's last two slots as home, so their runs wrap
+// past the end. Pushes outweigh pops in the first half of each trial, so
+// the table grows mid-sequence, and pops outweigh pushes in the second.
+// After every step each key must hold exactly the reference's messages, a
+// drained key must be gone from the index, the index must hold one slot
+// per live mailbox, and the box storage must not outgrow the high-water of
+// live mailboxes: open reuses drained positions.
+func TestMailIndexMatchesReference(t *testing.T) {
+	const mask = mailSlotsMin - 1
+	var shared, wrap, rest []mailKey
+	for i := 0; len(shared) < 12 || len(wrap) < 12 || len(rest) < 40; i++ {
+		k := mailKey{dst: int32(i % 13), src: int32(i % 11), tag: i/7 - 50}
+		switch home := k.hash() & mask; {
+		case home == 5 && len(shared) < 12:
+			shared = append(shared, k)
+		case home >= mask-1 && len(wrap) < 12:
+			wrap = append(wrap, k)
+		case home != 5 && home < mask-1 && len(rest) < 40:
+			rest = append(rest, k)
+		}
+	}
+	keys := append(append(shared, wrap...), rest...)
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		var x mailIndex
+		x.reset()
+		ref := make(map[mailKey][]int)
+		grew, high := false, 0
+		const steps = 2000
+		for step, next := 0, 0; step < steps; step++ {
+			k := keys[rng.Intn(len(keys))]
+			pushOdds := 6
+			if step >= steps/2 {
+				pushOdds = 4
+			}
+			if rng.Intn(10) < pushOdds {
+				x.open(int(k.dst), int(k.src), k.tag).Push(&message{src: next})
+				ref[k] = append(ref[k], next)
+				next++
+			} else {
+				m := x.pop(int(k.dst), int(k.src), k.tag)
+				switch want := ref[k]; {
+				case len(want) == 0 && m != nil:
+					t.Fatalf("trial %d step %d: pop %v returned message %d from an empty key", trial, step, k, m.src)
+				case len(want) > 0 && (m == nil || m.src != want[0]):
+					t.Fatalf("trial %d step %d: pop %v = %v, want message %d", trial, step, k, m, want[0])
+				case len(want) > 0:
+					ref[k] = want[1:]
+				}
+			}
+			grew = grew || x.mask+1 > mailSlotsMin
+			live := 0
+			for _, k := range keys {
+				want := ref[k]
+				q := x.lookup(int(k.dst), int(k.src), k.tag)
+				if len(want) == 0 {
+					if q != nil {
+						t.Fatalf("trial %d step %d: drained key %v still indexed", trial, step, k)
+					}
+					continue
+				}
+				live++
+				if q == nil || q.Len() != len(want) || q.Peek().src != want[0] {
+					t.Fatalf("trial %d step %d: key %v lost its messages (want %d, head %d)", trial, step, k, len(want), want[0])
+				}
+			}
+			if x.live() != live || len(indexedKeys(&x)) != live {
+				t.Fatalf("trial %d step %d: %d live mailboxes, %d indexed keys, want %d",
+					trial, step, x.live(), len(indexedKeys(&x)), live)
+			}
+			if high = max(high, live); len(x.boxes) != high {
+				t.Fatalf("trial %d step %d: %d boxes of storage for a high-water of %d live mailboxes",
+					trial, step, len(x.boxes), high)
+			}
+		}
+		if !grew {
+			t.Fatalf("trial %d never grew the table past %d slots", trial, mailSlotsMin)
+		}
 	}
 }

@@ -40,17 +40,23 @@
 // FuzzEngineEquivalence fuzz target — to pick identically. RunCtx uses the
 // calendar engine unless its context selects the other with WithEngine:
 //
-//   - EngineCalendar (the default) pops a pooled event calendar: an
-//     O(log P) min-heap of (time, rank) wake events with lazy invalidation,
-//     kept current by pushes in send, recv, barrier and yieldReady.
+//   - EngineCalendar (the default) reads the root of a pooled event
+//     calendar: an indexed O(log P) min-heap holding at most one
+//     (time, rank) wake event per rank. The running rank keeps its event,
+//     and yieldReady re-keys it in place; blocking in recv or barrier, and
+//     exiting, remove it; send, recv and barrier set the events of the
+//     ranks they make schedulable.
 //   - EngineGoroutine scans every rank for the smallest clock (pickReady,
 //     O(P) per pick). It is kept as the executable specification the
 //     calendar's scheduling decisions are differentially tested against.
 //
-// Both engines keep mailboxes the same way: each run has its own set of
-// (destination, source, tag) queues behind one open-addressed index in the
-// run's scratch (mailIndex), retired wholesale when the next run starts,
-// so a lookup never probes another run's keys.
+// Both engines deliver messages the same way. A send to a rank blocked in
+// a directed receive on exactly that (source, tag) hands the message
+// straight over. Every other message waits in its (destination, source,
+// tag) queue behind one open-addressed index in the run's scratch
+// (mailIndex). A queue leaves the index as soon as it drains, and the next
+// run starts from an empty index, so the index holds only keys with
+// undelivered messages, and a lookup never probes another run's keys.
 //
 // The coroutines need a go1.23 toolchain, although go.mod says go 1.22;
 // see coro.go. See DESIGN.md §8 for the equivalence contract.
@@ -248,11 +254,9 @@ type rankState struct {
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
-	// Calendar-engine bookkeeping: seq stamps this rank's latest calendar
-	// event (older events are stale and discarded on pop); anyWake caches
-	// the earliest candidate arrival of a pending wildcard receive so a
-	// new queue-head message updates the wake event in O(1).
-	seq     uint32
+	// anyWake is calendar-engine bookkeeping: the earliest candidate
+	// arrival of a pending wildcard receive, cached so that a new
+	// queue-head message lowers the wake event in O(log P).
 	anyWake float64
 }
 
@@ -292,12 +296,12 @@ type engine struct {
 	// shared scratch pool; RunCtx recycles it after a clean completion.
 	scr *engineScratch
 	// Scheduling state. cal selects the calendar engine, whose heap orders
-	// wake events by (time, rank); ctx is the run's context, checked at
-	// every pick; fn is the rank program; active counts unfinished ranks;
-	// picked is the rank the driver loop wakes next, recorded by the rank
-	// that parked last (nil: the run is over). Exactly one of the driver
-	// and the rank coroutines runs at a time, and coroutine switches order
-	// every access.
+	// one wake event per schedulable rank by (time, rank); ctx is the run's
+	// context, checked at every pick; fn is the rank program; active counts
+	// unfinished ranks; picked is the rank the driver loop wakes next,
+	// recorded by the rank that parked last (nil: the run is over). Exactly
+	// one of the driver and the rank coroutines runs at a time, and
+	// coroutine switches order every access.
 	cal    bool
 	ctx    context.Context
 	fn     func(par.Comm)
@@ -376,6 +380,7 @@ func (e *engine) rankExit(r *rankState) {
 		}
 	}
 	r.status = stDone
+	e.unschedule(r)
 	e.active--
 	e.picked = e.next()
 }
@@ -389,10 +394,8 @@ func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	e.ctx = ctx
 	e.fn = fn
 	e.active = len(e.ranks)
-	if e.cal {
-		for _, r := range e.ranks {
-			e.calPush(r, 0)
-		}
+	for _, r := range e.ranks {
+		e.schedule(r, 0)
 	}
 	// next checks the context, so an already-canceled run fails before its
 	// first rank executes.
@@ -433,7 +436,7 @@ func (e *engine) next() *rankState {
 	}
 	var r *rankState
 	if e.cal {
-		r = e.calPop()
+		r = e.calPick()
 	} else {
 		r = e.pickReady()
 	}
@@ -472,31 +475,37 @@ func (e *engine) stop() {
 	e.scr = nil
 }
 
-// calPush schedules rank r to be pickable at virtual time at, superseding
-// any event previously pushed for it (stale events fail the seq check).
-func (e *engine) calPush(r *rankState, at float64) {
-	r.seq++
-	e.heap.Push(calendar.Event{At: at, Rank: int32(r.id), Seq: r.seq})
+// schedule makes rank r pickable at virtual time at: under the calendar
+// engine it sets r's one event, inserting it or re-keying it in place. The
+// oracle scans every rank instead and keeps no events.
+func (e *engine) schedule(r *rankState, at float64) {
+	if e.cal {
+		e.heap.Set(int32(r.id), at)
+	}
 }
 
-// calPop is the calendar engine's pick: it pops events until one is still
-// current for its rank, completing that rank's pending wildcard receive
-// exactly like pickReady does. nil means the calendar is drained.
-func (e *engine) calPop() *rankState {
-	for {
-		ev, ok := e.heap.Pop()
-		if !ok {
-			return nil
-		}
-		r := e.ranks[ev.Rank]
-		if ev.Seq != r.seq {
-			continue // superseded by a fresher event for this rank
-		}
-		if r.status == stBlockedRecv {
-			e.completeRecv(r)
-		}
-		return r
+// unschedule takes r's event out of the calendar when r blocks without a
+// wake time or exits.
+func (e *engine) unschedule(r *rankState) {
+	if e.cal {
+		e.heap.Remove(int32(r.id))
 	}
+}
+
+// calPick is the calendar engine's pick: the rank at the heap's root, which
+// keeps its event while it runs. A rank picked in a wildcard receive
+// completes it exactly like pickReady does. nil means no rank is
+// schedulable.
+func (e *engine) calPick() *rankState {
+	ev, ok := e.heap.Min()
+	if !ok {
+		return nil
+	}
+	r := e.ranks[ev.Rank]
+	if r.status == stBlockedRecv {
+		e.completeRecv(r)
+	}
+	return r
 }
 
 func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
@@ -644,7 +653,7 @@ func (e *engine) earliestAny(r *rankState) (float64, bool) {
 	arr := math.Inf(1)
 	found := false
 	for s := 0; s < len(e.ranks); s++ {
-		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil && q.Len() > 0 && q.Peek().arrival < arr {
+		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil && q.Peek().arrival < arr {
 			arr = q.Peek().arrival
 			found = true
 		}
@@ -657,7 +666,7 @@ func (e *engine) earliestAny(r *rankState) (float64, bool) {
 func (e *engine) anyCandidates(r *rankState) []int {
 	var ids []int
 	for s := 0; s < len(e.ranks); s++ {
-		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil && q.Len() > 0 {
+		if q := e.scr.mail.lookup(r.id, s, r.wantTag); q != nil {
 			ids = append(ids, q.Peek().sid)
 		}
 	}
@@ -798,14 +807,13 @@ func (e *engine) waitStep(r *rankState) CycleStep {
 // messages, inflating everyone's queue position.
 func (e *engine) yieldReady(r *rankState) {
 	r.status = stReady
-	if e.cal {
-		e.calPush(r, r.now)
-	}
+	e.schedule(r, r.now)
 	e.yield(r)
 }
 
-// send timestamps and enqueues a message; see the package comment for the
-// timing model.
+// send timestamps a message and delivers it: straight to a receiver
+// already blocked on it, else into its mailbox. See the package comment for
+// the timing model.
 func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64) {
 	if dst < 0 || dst >= len(e.ranks) {
 		panic(fmt.Sprintf("vmpi: rank %d sent to invalid rank %d", r.id, dst))
@@ -891,32 +899,36 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 		m.sid = e.san.Send(r.id, dst, tag, bytes, start)
 	}
 	d := e.ranks[dst]
+	if d.status == stBlockedRecv && d.wantSrc == r.id && d.wantTag == tag {
+		// Direct handoff. The receiver found (r.id, tag) empty when it
+		// blocked, and any send since would have completed it, so the
+		// mailbox is still empty: the message skips it and is matched and
+		// delivered exactly as the queued path would.
+		if e.san != nil {
+			e.san.Match(m.sid, d.id)
+		}
+		e.deliver(d, m)
+		e.schedule(d, d.now)
+		return
+	}
 	q := e.scr.mail.open(dst, r.id, tag)
 	newHead := q.Len() == 0
 	q.Push(m)
-	// Only directed receivers wake eagerly; wildcard receives stay parked
-	// until pickReady proves their earliest candidate is globally minimal
-	// (see pickReady), which keeps the match independent of send order.
-	if d.status == stBlockedRecv && d.wantTag == tag {
-		switch {
-		case d.wantSrc == r.id:
-			e.completeRecv(d)
-			if e.cal {
-				e.calPush(d, d.now)
-			}
-		case e.cal && d.wantSrc == AnySource && newHead && m.arrival < d.anyWake:
-			// A new queue head lowered the wildcard's earliest candidate:
-			// refresh its wake event. The cached minimum only ever
-			// decreases while the rank is blocked (mail is consumed only
-			// by the rank itself), so superseded events are always at
-			// later-or-equal times and die on the seq check.
-			d.anyWake = m.arrival
-			at := d.anyWake
-			if d.now > at {
-				at = d.now
-			}
-			e.calPush(d, at)
+	// Wildcard receives stay parked until the pick proves their earliest
+	// candidate is globally minimal (see pickReady), which keeps the match
+	// independent of send order.
+	if e.cal && d.status == stBlockedRecv && d.wantSrc == AnySource && d.wantTag == tag &&
+		newHead && m.arrival < d.anyWake {
+		// A new queue head lowered the wildcard's earliest candidate:
+		// decrease its wake event's key. The cached minimum only ever
+		// decreases while the rank is blocked (mail is consumed only by
+		// the rank itself).
+		d.anyWake = m.arrival
+		at := d.anyWake
+		if d.now > at {
+			at = d.now
 		}
+		e.schedule(d, at)
 	}
 }
 
@@ -925,12 +937,8 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 // determinism.
 func (e *engine) match(r *rankState, src, tag int) *message {
 	if src != AnySource {
-		q := e.scr.mail.lookup(r.id, src, tag)
-		if q == nil || q.Len() == 0 {
-			return nil
-		}
-		m := q.Pop() // drained queues keep their storage for the next send
-		if e.san != nil {
+		m := e.scr.mail.pop(r.id, src, tag)
+		if m != nil && e.san != nil {
 			e.san.Match(m.sid, r.id)
 		}
 		return m
@@ -939,7 +947,7 @@ func (e *engine) match(r *rankState, src, tag int) *message {
 	bestArr := math.Inf(1)
 	for s := 0; s < len(e.ranks); s++ {
 		q := e.scr.mail.lookup(r.id, s, tag)
-		if q != nil && q.Len() > 0 && q.Peek().arrival < bestArr {
+		if q != nil && q.Peek().arrival < bestArr {
 			bestArr = q.Peek().arrival
 			bestSrc = s
 		}
@@ -958,17 +966,23 @@ func (e *engine) release(m *message) {
 	e.msgs.Put(m)
 }
 
-// completeRecv finishes a blocked receive whose message has just arrived.
+// completeRecv finishes the wildcard receive of a rank the pick chose: it
+// matches the (arrival, source) minimum and delivers it. A directed
+// receive never waits for the pick; send completes it (deliver).
 func (e *engine) completeRecv(d *rankState) {
-	if e.san != nil && d.wantSrc == AnySource {
+	if e.san != nil {
 		if v := e.san.RecvAny(d.id, d.wantTag, e.anyCandidates(d)); v != nil {
 			e.sanFail(v)
 		}
 	}
-	m := e.match(d, d.wantSrc, d.wantTag)
-	if m == nil {
-		return
+	if m := e.match(d, AnySource, d.wantTag); m != nil {
+		e.deliver(d, m)
 	}
+}
+
+// deliver completes d's blocked receive with m: d waits until m arrives,
+// then its Recv returns m.
+func (e *engine) deliver(d *rankState, m *message) {
 	if m.arrival > d.now {
 		d.comm += m.arrival - d.now
 		d.now = m.arrival
@@ -988,7 +1002,7 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 		r.wantSrc, r.wantTag = src, tag
 		r.status = stBlockedRecv
 		if e.cal {
-			// Seed the wake event at the earliest candidate arrival (if
+			// Re-key the wake event to the earliest candidate arrival (if
 			// any): the calendar analogue of competing in pickReady at
 			// max(now, earliestAny). Later sends lower it via anyWake.
 			r.anyWake = math.Inf(1)
@@ -998,7 +1012,9 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 				if r.now > at {
 					at = r.now
 				}
-				e.calPush(r, at)
+				e.schedule(r, at)
+			} else {
+				e.unschedule(r)
 			}
 		}
 		e.yield(r)
@@ -1019,6 +1035,7 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 	}
 	r.wantSrc, r.wantTag = src, tag
 	r.status = stBlockedRecv
+	e.unschedule(r)
 	e.yield(r)
 	m := r.recvResult
 	r.recvResult = nil
@@ -1040,6 +1057,7 @@ func (e *engine) barrier(r *rankState) {
 	}
 	if e.inBarrier < len(e.ranks) {
 		r.status = stBlockedBarrier
+		e.unschedule(r)
 		e.yield(r)
 		return
 	}
@@ -1055,9 +1073,7 @@ func (e *engine) barrier(r *rankState) {
 			d.now = t
 			if d != r {
 				d.status = stReady
-				if e.cal {
-					e.calPush(d, t)
-				}
+				e.schedule(d, t)
 			}
 		}
 	}
