@@ -50,13 +50,17 @@ func benchExperiment(b *testing.B, id string) {
 // BenchmarkSweepSerial reproduces every experiment (the work of `columbia
 // all`) through the sweep scheduler at -j 1. Each iteration starts from a
 // cold cache; experiments fan out as coordinators exactly as the CLI does.
-// It is benchgate's whole-sweep allocs/op gate. -j scaling is measured by
-// colbench, which runs the real CLI (BENCHMARK.json).
+// It is benchgate's whole-sweep allocs/op gate, and reports the engine's
+// picks/op and parks/op through vmpi.Counters installed in the sweep's
+// context. -j scaling is measured by colbench, which runs the real CLI
+// (BENCHMARK.json).
 func BenchmarkSweepSerial(b *testing.B) {
 	exps := core.Experiments()
+	var work vmpi.Counters
+	ctx := vmpi.WithCounters(context.Background(), &work)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep.SetWorkers(1) // fresh pool, cold cache
+		sweep.Configure(ctx, sweep.Options{Workers: 1}) // fresh pool, cold cache
 		futs := make([]sweep.Future[[]*report.Table], 0, len(exps))
 		for _, e := range exps {
 			e := e
@@ -70,6 +74,16 @@ func BenchmarkSweepSerial(b *testing.B) {
 	}
 	b.StopTimer()
 	sweep.SetWorkers(0)
+	reportWork(b, &work)
+}
+
+// reportWork reports the engine work a sweep benchmark counted, per
+// iteration. Every iteration starts from a cold cache, so the counts are
+// the same at every -cpu and on every run; only a change to the code can
+// move them.
+func reportWork(b *testing.B, w *vmpi.Counters) {
+	b.ReportMetric(float64(w.Picks.Load())/float64(b.N), "picks/op")
+	b.ReportMetric(float64(w.Parks.Load())/float64(b.N), "parks/op")
 }
 
 // BenchmarkSweepEnsemble times a noise-ensemble sweep: fig7 (the lightest
@@ -91,15 +105,18 @@ func BenchmarkSweepEnsemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var work vmpi.Counters
+	ctx := vmpi.WithCounters(context.Background(), &work)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep.SetWorkers(8) // fresh pool, cold cache
+		sweep.Configure(ctx, sweep.Options{Workers: 8}) // fresh pool, cold cache
 		if len(e.Run()) == 0 {
 			b.Fatal("no tables")
 		}
 	}
 	b.StopTimer()
 	sweep.SetWorkers(0)
+	reportWork(b, &work)
 }
 
 // --- One benchmark per paper item ---

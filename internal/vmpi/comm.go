@@ -12,7 +12,10 @@ type comm struct {
 	r *rankState
 }
 
-var _ par.Comm = (*comm)(nil)
+var (
+	_ par.Comm       = (*comm)(nil)
+	_ par.PlanRunner = (*comm)(nil)
+)
 
 func (c *comm) Rank() int { return c.r.id }
 func (c *comm) Size() int { return len(c.e.ranks) }
@@ -92,4 +95,21 @@ func (c *comm) AnnounceCollective(kind string, operand float64) {
 	if v := c.e.san.EnterCollective(c.r.id, kind, operand); v != nil {
 		c.e.sanFail(v)
 	}
+}
+
+// RunPlan implements par.PlanRunner. The rank runs the plan's steps itself
+// until one must wait while another rank runs; it then parks once, and
+// run's driver loop runs the remaining steps whenever next picks the rank,
+// waking the coroutine when the plan ends.
+func (c *comm) RunPlan(p par.Plan) []float64 {
+	ps := &c.e.plans[c.r.id]
+	ps.plan, ps.step = p, 0
+	if !c.e.runSteps(c.r) {
+		c.r.driven = true
+		c.e.park(c.r)
+		c.r.driven = false
+	}
+	acc := ps.plan.Result()
+	*ps = planState{}
+	return acc
 }

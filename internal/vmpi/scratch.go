@@ -27,6 +27,10 @@ type engineScratch struct {
 	// run slices off the prefix it needs, so the coroutines of past runs
 	// stay warm. Rank ids equal indices and never change.
 	ranks []*rankState
+	// plans holds each rank's collective plan while it runs, one slot per
+	// rank record: it grows and is trimmed with ranks. RunPlan clears a
+	// slot when its plan ends, so no program data outlives the run.
+	plans []planState
 	// mail holds this run's mailboxes that have undelivered messages. Only
 	// their storage outlives the run: acquireScratch empties the set, so a
 	// run never sees, probes or drains another run's (source, tag) queues.
@@ -295,6 +299,9 @@ func acquireScratch(a *Arena, procs, nodes int) *engineScratch {
 	for len(s.ranks) < procs {
 		s.ranks = append(s.ranks, newRank(len(s.ranks)))
 	}
+	if n := procs - len(s.plans); n > 0 {
+		s.plans = append(s.plans, make([]planState, n)...)
+	}
 	for _, r := range s.ranks[:procs] {
 		r.reset()
 	}
@@ -342,13 +349,16 @@ func (e *engine) recycle() {
 }
 
 // dropRanks halts the coroutines of the rank records from index from on and
-// removes those records from the scratch.
+// removes those records, and their plan slots, from the scratch.
 func (s *engineScratch) dropRanks(from int) {
 	for i, r := range s.ranks[from:] {
 		r.halt()
 		s.ranks[from+i] = nil
 	}
 	s.ranks = s.ranks[:from]
+	if len(s.plans) > from {
+		s.plans = append([]planState(nil), s.plans[:from]...)
+	}
 }
 
 // reset readies a pooled rank record for its next run. id and the
@@ -363,6 +373,7 @@ func (r *rankState) reset() {
 	r.wantTag = 0
 	r.recvResult = nil
 	r.anyWake = 0
+	r.driven = false
 }
 
 // resetFloats returns s resized to n elements, all zero, reusing capacity.

@@ -35,10 +35,23 @@
 // record, and run's driver loop wakes the rank picked last. The rank that
 // yields makes the pick itself (next), records it and parks back to the
 // driver — two coroutine switches per rank change, none when the yielder
-// is picked again. Two engines differ only in how next makes that pick,
-// and are guaranteed — by the differential suite in internal/core and the
-// FuzzEngineEquivalence fuzz target — to pick identically. RunCtx uses the
-// calendar engine unless its context selects the other with WithEngine:
+// is picked again.
+//
+// Collectives that par defines as plans (Allreduce, AllreduceBytes,
+// AlltoallBytes; see par.PlanRunner) cost a rank at most one park each,
+// not one per waiting step: the rank runs the plan's steps itself until
+// one must wait, then hands the plan to the driver loop and parks. Whenever
+// next picks that rank again, the driver runs its steps with the same
+// send, match and deliver internals, calling next exactly where a waiting
+// receive would, and wakes the coroutine once, when the plan ends. So the
+// picks and every floating-point operation are those of the plan run
+// through Send and Recv; on the paper sweep the rank switches fall from
+// 3,429,419 to 1,208,596 for the same 3,606,564 picks (Counters).
+//
+// Two engines differ only in how next makes the pick, and are guaranteed —
+// by the differential suite in internal/core and the FuzzEngineEquivalence
+// fuzz target — to pick identically. RunCtx uses the calendar engine unless
+// its context selects the other with WithEngine:
 //
 //   - EngineCalendar (the default) reads the root of a pooled event
 //     calendar: an indexed O(log P) min-heap holding at most one
@@ -242,11 +255,18 @@ type rankState struct {
 	compute float64
 	comm    float64
 	status  status
+	// driven marks a rank parked inside a collective plan (comm.RunPlan):
+	// when next picks it, run's driver loop runs the plan's steps instead
+	// of waking the coroutine. The plan itself waits in engine.plans, off
+	// the record, so the records the picks touch stay small.
+	driven bool
 	// The rank's pooled coroutine (newRank): run's driver loop calls wake
-	// to resume the rank, the rank calls park to hand control back, and
-	// halt ends the coroutine when the record leaves its scratch. e is the
-	// run the coroutine serves, set by newEngine and cleared by recycle, so
-	// a parked coroutine references neither the engine nor its arena.
+	// to resume the rank, the rank calls park to hand control back — at a
+	// yield whose pick is another rank, or once per collective plan it
+	// hands to the driver — and halt ends the coroutine when the record
+	// leaves its scratch. e is the run the coroutine serves, set by
+	// newEngine and cleared by recycle, so a parked coroutine references
+	// neither the engine nor its arena.
 	wake func() (struct{}, bool)
 	park func(struct{}) bool
 	halt func()
@@ -258,6 +278,14 @@ type rankState struct {
 	// arrival of a pending wildcard receive, cached so that a new
 	// queue-head message lowers the wake event in O(log P).
 	anyWake float64
+}
+
+// planState is the collective plan a rank is inside (comm.RunPlan) and the
+// index of its current step. A step that must wait leaves its message,
+// once matched or delivered, in the rank's recvResult.
+type planState struct {
+	plan par.Plan
+	step int
 }
 
 type engine struct {
@@ -308,6 +336,13 @@ type engine struct {
 	heap   *calendar.Heap
 	active int
 	picked *rankState
+	// work counts this run's picks, parks, sends and handoffs; RunCtx adds
+	// it to the context's Counters when the run ends.
+	work work
+	// plans holds each rank's collective plan while it runs, indexed by
+	// id. It sits last, with work: placed after ranks, it moved the hot
+	// fields and slowed runs that never enter a plan by about 4%.
+	plans []planState
 }
 
 // stopToken unwinds a rank parked mid-program when stop halts its
@@ -340,13 +375,15 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 // ErrCanceled or ErrTimeout RunError. Rank programs that loop without
 // ever touching their Comm cannot be preempted; none of the workloads in
 // this repository do that. The context also carries the run's engine
-// (WithEngine) and scratch arena (WithArena).
+// (WithEngine), scratch arena (WithArena) and work counters
+// (WithCounters).
 func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) {
 	e, err := newEngine(cfg, engineFrom(ctx), arenaFrom(ctx))
 	if err != nil {
 		return Result{}, err
 	}
 	res, err := e.run(ctx, fn)
+	countersFrom(ctx).add(&e.work)
 	if err != nil {
 		e.stop()
 		return Result{}, err
@@ -370,13 +407,8 @@ func (e *engine) exec(r *rankState) {
 // stop unwinds finds the run already failed, so next returns nil.
 func (e *engine) rankExit(r *rankState) {
 	if p := recover(); p != nil {
-		if _, stop := p.(stopToken); !stop && e.runErr == nil {
-			e.runErr = &RunError{
-				Kind:       ErrPanic,
-				Rank:       r.id,
-				PanicValue: p,
-				Stack:      string(debug.Stack()),
-			}
+		if _, stop := p.(stopToken); !stop {
+			e.panicked(r, p)
 		}
 	}
 	r.status = stDone
@@ -385,11 +417,29 @@ func (e *engine) rankExit(r *rankState) {
 	e.picked = e.next()
 }
 
+// panicked records panic value p, raised by rank r's program or by a plan
+// step the driver ran for r, as the run's failure unless one is recorded
+// already. Called from the deferred recover, so the stack still holds the
+// panicking frames.
+func (e *engine) panicked(r *rankState, p any) {
+	if e.runErr == nil {
+		e.runErr = &RunError{
+			Kind:       ErrPanic,
+			Rank:       r.id,
+			PanicValue: p,
+			Stack:      string(debug.Stack()),
+		}
+	}
+}
+
 // run is the driver loop of a simulation: it seeds the calendar with every
 // rank's start event (calendar engine only), then wakes the picked rank's
-// coroutine until no pick is left. The first pick is made here; every
-// later one by the rank that parks (yield, rankExit). A failed run returns
-// with ranks still parked mid-program, for RunCtx to stop.
+// coroutine until no pick is left. A picked rank parked inside a collective
+// plan is not woken: the loop runs the plan's steps itself (drive) and
+// wakes the coroutine once, when the plan ends. The first pick is made
+// here; every later one by the rank or plan step that gives up control
+// (yield, runSteps, rankExit). A failed run returns with ranks still parked
+// mid-program, for RunCtx to stop.
 func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	e.ctx = ctx
 	e.fn = fn
@@ -401,6 +451,9 @@ func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	// first rank executes.
 	for r := e.next(); r != nil; r = e.picked {
 		r.status = stRunning
+		if r.driven && !e.drive(r) {
+			continue // the plan waits again; the step picked e.picked
+		}
 		r.wake()
 	}
 	if e.runErr != nil {
@@ -445,6 +498,8 @@ func (e *engine) next() *rankState {
 		return nil
 	case r == nil:
 		e.runErr = e.deadlockErr()
+	default:
+		e.work.picks++
 	}
 	return r
 }
@@ -454,13 +509,40 @@ func (e *engine) next() *rankState {
 // no coroutine switch — and otherwise it records the pick and parks back
 // to the driver loop. When the run is over (a nil pick), the yielder stays
 // parked until stop halts its coroutine, and then unwinds.
+//
+// It is pickAgain followed by park, written out: yield is the engine's
+// hottest path, and the extra call measurably slowed runs that never
+// enter a collective plan (about 3% on a 256-rank SP-MZ skeleton).
 func (e *engine) yield(r *rankState) {
 	next := e.next()
 	if next == r {
 		r.status = stRunning
+		e.work.selfs++
 		return
 	}
 	e.picked = next
+	e.park(r)
+}
+
+// pickAgain makes the pick at one of r's plan steps, as yield does, and
+// reports whether it chose r, which then keeps running; otherwise the pick
+// is recorded for the driver loop and r must give up control.
+func (e *engine) pickAgain(r *rankState) bool {
+	next := e.next()
+	if next == r {
+		r.status = stRunning
+		e.work.selfs++
+		return true
+	}
+	e.picked = next
+	return false
+}
+
+// park switches from rank r's coroutine back to the driver loop, which
+// runs e.picked next. It returns when the driver wakes r again, and unwinds
+// r's program when stop halts the coroutine instead.
+func (e *engine) park(r *rankState) {
+	e.work.parks++
 	if !r.park(struct{}{}) {
 		panic(stopToken{})
 	}
@@ -595,6 +677,7 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 	for _, r := range e.ranks {
 		r.e = e
 	}
+	e.plans = e.scr.plans[:cfg.Procs]
 	e.msgs = &e.scr.msgs
 	e.heap = &e.scr.heap
 	e.linkBusy = e.scr.linkBusy
@@ -886,6 +969,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 	oh := sendOverheadFrac * lat
 	r.now += oh
 	r.comm += oh
+	e.work.sends++
 
 	m := e.msgs.Get()
 	m.src, m.tag, m.bytes, m.arrival, m.sid = r.id, tag, bytes, arr, 0
@@ -907,6 +991,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 		if e.san != nil {
 			e.san.Match(m.sid, d.id)
 		}
+		e.work.handoffs++
 		e.deliver(d, m)
 		e.schedule(d, d.now)
 		return
@@ -1043,6 +1128,71 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 		panic("vmpi: spurious wakeup")
 	}
 	return m
+}
+
+// runSteps advances r through its plan until the plan ends (true) or a
+// receive must wait while another rank runs (false, with the pick made and
+// recorded for the driver loop). It runs in r's coroutine when the plan
+// starts (comm.RunPlan) and in the driver loop when next picks r again
+// (drive); either way it is the send and directed-receive path of the
+// coroutine, step by step: each receive calls next exactly where recv
+// would, so picks, clocks and every Op application are the same as running
+// the plan through Send and Recv. A step resumed after waiting finds its
+// message in r.recvResult.
+func (e *engine) runSteps(r *rankState) bool {
+	ps := &e.plans[r.id]
+	for ; ps.step < ps.plan.Len(); ps.step++ {
+		s := ps.plan.Step(ps.step)
+		m := r.recvResult
+		if m == nil {
+			if s.To >= 0 {
+				bytes, data := ps.plan.Payload()
+				e.send(r, s.To, s.Tag, bytes, data)
+			}
+			if s.From < 0 {
+				continue
+			}
+			if m = e.match(r, s.From, s.Tag); m == nil {
+				r.wantSrc, r.wantTag = s.From, s.Tag
+				r.status = stBlockedRecv
+				e.unschedule(r)
+				if !e.pickAgain(r) {
+					return false
+				}
+				if m = r.recvResult; m == nil {
+					panic("vmpi: spurious wakeup")
+				}
+			} else if m.arrival > r.now {
+				r.comm += m.arrival - r.now
+				r.now = m.arrival
+				r.recvResult = m
+				r.status = stReady
+				e.schedule(r, r.now)
+				if !e.pickAgain(r) {
+					return false
+				}
+			}
+		}
+		r.recvResult = nil
+		ps.plan.Receive(s, m.data)
+		e.release(m)
+	}
+	return true
+}
+
+// drive runs r's plan in the driver loop, from the step where it waited,
+// and reports whether the plan ended. A panic raised by a step (a
+// panicking Op) fails the run as r's ErrPanic, exactly as rankExit records
+// one raised in the rank's coroutine, and ends the loop; r stays parked
+// for stop to unwind.
+func (e *engine) drive(r *rankState) (done bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.panicked(r, p)
+			e.picked, done = nil, false
+		}
+	}()
+	return e.runSteps(r)
 }
 
 func (e *engine) barrier(r *rankState) {
