@@ -18,8 +18,9 @@
 //	-threshold f     fractional ns/op regression that fails the gate
 //	                 (default 0.15)
 //	-athreshold f    fractional allocs/op regression that fails the gate
-//	                 (default 0.10 — allocation counts are deterministic,
-//	                 so the margin only covers map-growth jitter)
+//	                 (default 0.10; allocs/op is not deterministic: the
+//	                 whole-sweep benchmark's varies by about 1.5% from
+//	                 run to run)
 //	-write           write BENCH_<date>.json with this run's results
 //
 // Suspected regressions are re-run once (suspects only) and the faster of
@@ -31,10 +32,17 @@
 // results and exits 0 (there is nothing to regress against); `make bench`
 // keeps a baseline committed so the gate always has teeth in CI.
 //
-// Two metrics are gated per benchmark: ns/op and — when both the baseline
-// and the current run recorded it — allocs/op. Benchmarks present in the
-// baseline but not in this run are skipped (they were filtered out by
-// -bench); benchmarks new in this run are reported but cannot regress.
+// Three kinds of metric are gated per benchmark: ns/op, allocs/op, and
+// every other per-op unit the benchmark reports (b.ReportMetric), such as
+// the sweep benchmarks' picks/op and parks/op. Those are work counts that
+// only a code change can move, so they must repeat exactly: the -count
+// repeats of a benchmark that disagree on one are an error, and any change
+// against the baseline, in either direction, fails the gate. A change that
+// moves a count on purpose records it in a new baseline (-write). allocs/op
+// and the counts are gated only when both the baseline and the current run
+// recorded them. Benchmarks present in the baseline but not in this run
+// are skipped (they were filtered out by -bench); benchmarks new in this
+// run are reported but cannot regress.
 //
 // Scaling across -j is not gated here: colbench (BENCHMARK.json) runs the
 // real CLI at -j 1 and -j 2 and compares each change with its parent, and
@@ -48,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -72,6 +81,8 @@ type Measure struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Counts holds every other "/op" unit the benchmark reported, by unit.
+	Counts map[string]float64 `json:"counts,omitempty"`
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -88,7 +99,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 // parseBench extracts benchmark measurements from `go test -bench` output.
 // Repeated names (go test -count > 1) keep the minimum ns/op: the fastest
 // run is the least contaminated by scheduler noise on a shared host, so
-// the gate compares best-of-N against best-of-N.
+// the gate compares best-of-N against best-of-N. Repeats must agree on
+// every count; a count that differs between them is an error.
 func parseBench(r io.Reader) (map[string]Measure, error) {
 	out := make(map[string]Measure)
 	sc := bufio.NewScanner(r)
@@ -102,9 +114,6 @@ func parseBench(r io.Reader) (map[string]Measure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %v", sc.Text(), err)
 		}
-		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
-			continue
-		}
 		meas := Measure{NsPerOp: ns}
 		pairs := strings.Fields(m[3])
 		for i := 0; i+1 < len(pairs); i += 2 {
@@ -112,11 +121,24 @@ func parseBench(r io.Reader) (map[string]Measure, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad %s in %q: %v", pairs[i+1], sc.Text(), err)
 			}
-			switch pairs[i+1] {
-			case "B/op":
+			switch unit := pairs[i+1]; {
+			case unit == "B/op":
 				meas.BytesPerOp = v
-			case "allocs/op":
+			case unit == "allocs/op":
 				meas.AllocsPerOp = v
+			case strings.HasSuffix(unit, "/op"):
+				if meas.Counts == nil {
+					meas.Counts = make(map[string]float64)
+				}
+				meas.Counts[unit] = v
+			}
+		}
+		if prev, ok := out[m[1]]; ok {
+			if !maps.Equal(prev.Counts, meas.Counts) {
+				return nil, fmt.Errorf("%s: repeats disagree on counts: %v, then %v", m[1], prev.Counts, meas.Counts)
+			}
+			if prev.NsPerOp <= ns {
+				continue
 			}
 		}
 		out[m[1]] = meas
@@ -142,18 +164,21 @@ func latestBaseline(dir string) (string, error) {
 	return matches[len(matches)-1], nil
 }
 
-// regression is one benchmark metric that worsened past its threshold.
+// regression is one benchmark metric that worsened past its threshold, or
+// a count that changed.
 type regression struct {
 	name      string
-	metric    string // "ns/op" or "allocs/op"
+	metric    string // "ns/op", "allocs/op" or a count's unit
 	base, cur float64
 }
 
 // compare diffs current against base and returns the over-threshold
-// regressions, sorted by (name, metric) for stable output. ns/op is gated
-// by threshold; allocs/op — which is essentially noise-free, unlike wall
-// time on a shared host — by allocThreshold, and only when both sides
-// recorded an allocation count (the baseline may predate -benchmem).
+// regressions and the changed counts, sorted by (name, metric) for stable
+// output. ns/op is gated by threshold; allocs/op, which varies a little
+// from run to run (GC-timed pool and map growth), by allocThreshold, and
+// only when both sides recorded an allocation count (the baseline may
+// predate -benchmem). A count that both sides recorded must not move in
+// either direction.
 func compare(base, current map[string]Measure, threshold, allocThreshold float64) []regression {
 	var regs []regression
 	for name, cur := range current {
@@ -167,6 +192,11 @@ func compare(base, current map[string]Measure, threshold, allocThreshold float64
 		if b.AllocsPerOp > 0 && cur.AllocsPerOp > b.AllocsPerOp*(1+allocThreshold) {
 			regs = append(regs, regression{name, "allocs/op", b.AllocsPerOp, cur.AllocsPerOp})
 		}
+		for unit, bv := range b.Counts {
+			if cv, ok := cur.Counts[unit]; ok && cv != bv {
+				regs = append(regs, regression{name, unit, bv, cv})
+			}
+		}
 	}
 	sort.Slice(regs, func(i, j int) bool {
 		if regs[i].name != regs[j].name {
@@ -178,7 +208,7 @@ func compare(base, current map[string]Measure, threshold, allocThreshold float64
 }
 
 // fmtMetric renders a metric value human-readably: durations for ns/op,
-// plain counts for allocs/op.
+// plain numbers for allocs/op and the counts.
 func fmtMetric(metric string, v float64) string {
 	if metric == "ns/op" {
 		return secs(v)
@@ -297,8 +327,12 @@ func run() error {
 		fmt.Printf("benchgate: %d benchmarks vs %s (ns %.0f%%, allocs %.0f%%)\n",
 			len(current), filepath.Base(basePath), *threshold*100, *athreshold*100)
 		for _, r := range regs {
-			fmt.Printf("  REGRESSION %s %s: %s -> %s (%+.1f%%)\n",
-				r.name, r.metric, fmtMetric(r.metric, r.base), fmtMetric(r.metric, r.cur),
+			what := "COUNT CHANGED"
+			if r.metric == "ns/op" || r.metric == "allocs/op" {
+				what = "REGRESSION"
+			}
+			fmt.Printf("  %s %s %s: %s -> %s (%+.1f%%)\n",
+				what, r.name, r.metric, fmtMetric(r.metric, r.base), fmtMetric(r.metric, r.cur),
 				(r.cur/r.base-1)*100)
 		}
 	} else {
@@ -306,7 +340,7 @@ func run() error {
 	}
 
 	if len(regs) > 0 && !*write {
-		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%)",
+		return fmt.Errorf("benchmark gate failed (ns > %.0f%%, allocs > %.0f%%, or a count changed)",
 			*threshold*100, *athreshold*100)
 	}
 

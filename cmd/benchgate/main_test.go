@@ -1,8 +1,10 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,7 +13,7 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: columbia
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
-BenchmarkSweepSerial-8               	       1	5981234567 ns/op
+BenchmarkSweepSerial-8               	       1	5981234567 ns/op	   1208596 parks/op	   3606564 picks/op	120403600 B/op	  545853 allocs/op
 BenchmarkEngineAlltoall-8            	      12	 102424883 ns/op	 4096 B/op	       3 allocs/op
 BenchmarkEngineAlltoallGoroutine-8   	      10	 121781836 ns/op
 BenchmarkEngine2048Ranks-8           	      25	  45600000 ns/op
@@ -40,13 +42,45 @@ func TestParseBench(t *testing.T) {
 	if m.BytesPerOp != 4096 || m.AllocsPerOp != 3 {
 		t.Errorf("benchmem columns = %v B/op %v allocs/op, want 4096/3", m.BytesPerOp, m.AllocsPerOp)
 	}
-	if got["BenchmarkSweepSerial"].NsPerOp != 5981234567 {
-		t.Errorf("large ns/op parsed as %v", got["BenchmarkSweepSerial"].NsPerOp)
+	sweep := got["BenchmarkSweepSerial"]
+	if sweep.NsPerOp != 5981234567 {
+		t.Errorf("large ns/op parsed as %v", sweep.NsPerOp)
+	}
+	// Reported per-op units are recorded as counts, apart from the
+	// benchmem columns.
+	if want := map[string]float64{"picks/op": 3606564, "parks/op": 1208596}; !maps.Equal(sweep.Counts, want) || sweep.AllocsPerOp != 545853 {
+		t.Errorf("sweep line parsed as %+v, want counts %v and 545853 allocs/op", sweep, want)
 	}
 	// An extra metric (MB/s from SetBytes) between ns/op and B/op must not
-	// hide the benchmem columns.
-	if m := got["BenchmarkRealDGEMM"]; m.NsPerOp != 2969659 || m.BytesPerOp != 450 || m.AllocsPerOp != 10 {
-		t.Errorf("DGEMM line parsed as %+v, want 2969659 ns/op, 450 B/op, 10 allocs/op", m)
+	// hide the benchmem columns, and is not a count.
+	if m := got["BenchmarkRealDGEMM"]; m.NsPerOp != 2969659 || m.BytesPerOp != 450 || m.AllocsPerOp != 10 || m.Counts != nil {
+		t.Errorf("DGEMM line parsed as %+v, want 2969659 ns/op, 450 B/op, 10 allocs/op, no counts", m)
+	}
+}
+
+// TestParseBenchRepeatsAgreeOnCounts: the -count repeats of a benchmark
+// must report the same counts; ns/op may differ.
+func TestParseBenchRepeatsAgreeOnCounts(t *testing.T) {
+	for _, c := range []struct {
+		name, second string
+		ok           bool
+	}{
+		{"same counts", "BenchmarkX-2 1 90 ns/op 7 picks/op 3 parks/op", true},
+		{"picks differ", "BenchmarkX-2 1 90 ns/op 8 picks/op 3 parks/op", false},
+		{"a count missing", "BenchmarkX-2 1 90 ns/op 7 picks/op", false},
+		{"a count added", "BenchmarkX-2 1 90 ns/op 7 picks/op 3 parks/op 1 sends/op", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := parseBench(strings.NewReader("BenchmarkX-2 1 100 ns/op 7 picks/op 3 parks/op\n" + c.second + "\n"))
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("agreeing repeats rejected: %v", err)
+			case c.ok && got["BenchmarkX"].NsPerOp != 90:
+				t.Errorf("ns/op = %v, want the minimum 90", got["BenchmarkX"].NsPerOp)
+			case !c.ok && err == nil:
+				t.Fatalf("repeats that disagree on a count parsed as %+v, want an error", got)
+			}
+		})
 	}
 }
 
@@ -122,6 +156,44 @@ func TestCompareAllocsOnlyRegression(t *testing.T) {
 	regs := compare(base, current, 0.15, 0.10)
 	if len(regs) != 1 || regs[0].metric != "allocs/op" || regs[0].cur != 2000 {
 		t.Fatalf("got %+v, want one allocs/op regression despite the ns/op improvement", regs)
+	}
+}
+
+// TestCompareGatesCounts: a count both sides recorded fails the gate when
+// it moves either way, whatever ns/op does; a count only one side has
+// cannot fail it.
+func TestCompareGatesCounts(t *testing.T) {
+	base := map[string]Measure{"A": {NsPerOp: 100, Counts: map[string]float64{"picks/op": 1000, "parks/op": 400}}}
+	for _, c := range []struct {
+		name   string
+		counts map[string]float64
+		want   []string // the changed units
+	}{
+		{"equal", map[string]float64{"picks/op": 1000, "parks/op": 400}, nil},
+		{"one more pick", map[string]float64{"picks/op": 1001, "parks/op": 400}, []string{"picks/op"}},
+		{"one park fewer", map[string]float64{"picks/op": 1000, "parks/op": 399}, []string{"parks/op"}},
+		{"both moved", map[string]float64{"picks/op": 2000, "parks/op": 1}, []string{"parks/op", "picks/op"}},
+		{"count not reported", map[string]float64{"picks/op": 1000}, nil},
+		{"new count", map[string]float64{"picks/op": 1000, "parks/op": 400, "sends/op": 5}, nil},
+		{"no counts", nil, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			regs := compare(base, map[string]Measure{"A": {NsPerOp: 50, Counts: c.counts}}, 0.15, 0.10)
+			var got []string
+			for _, r := range regs {
+				got = append(got, r.metric)
+				if r.base != base["A"].Counts[r.metric] || r.cur != c.counts[r.metric] {
+					t.Errorf("%s recorded as %v -> %v", r.metric, r.base, r.cur)
+				}
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("changed counts = %v, want %v", got, c.want)
+			}
+		})
+	}
+	// A baseline that predates counts gates none.
+	if regs := compare(map[string]Measure{"A": {NsPerOp: 100}}, map[string]Measure{"A": {NsPerOp: 100, Counts: map[string]float64{"picks/op": 1}}}, 0.15, 0.10); len(regs) != 0 {
+		t.Errorf("a baseline without counts flagged %+v", regs)
 	}
 }
 

@@ -6,8 +6,12 @@ import "testing"
 // acceptance criterion: every registered experiment runs clean under the
 // communication sanitizer and renders byte-identical output. The sanitize
 // toggle changes each point's fingerprint, so the sanitized pass recomputes
-// every sweep point rather than replaying the unsanitized cache.
+// every sweep point rather than replaying the unsanitized cache. Both
+// passes run on a fresh pool under the pick check (checkPicks), so this
+// test also holds the plain and sanitized sweeps to the reference scan,
+// as TestEngineDifferential does the faulted and noisy ones.
 func TestSanitizedExperimentsByteIdentical(t *testing.T) {
+	agree := checkPicks(t)
 	defer SetSanitize(false)
 	for _, e := range Experiments() {
 		e := e
@@ -19,6 +23,7 @@ func TestSanitizedExperimentsByteIdentical(t *testing.T) {
 			plain := experimentCSV(e)
 			SetSanitize(true)
 			sanitized := experimentCSV(e)
+			agree(t)
 			if plain != sanitized {
 				t.Fatalf("%s: sanitizer perturbed output\n--- plain ---\n%s\n--- sanitized ---\n%s",
 					e.ID, plain, sanitized)

@@ -432,8 +432,9 @@ func NewRuntime(s *Spec, planSeed uint64, ranks int, cpuIndex func(rank int) int
 // Perturb returns the noisy compute time for rank's event starting at
 // virtual time now with nominal duration t. The rank's jitter stream
 // advances exactly once per call whatever t is, so the draw sequence is a
-// function of the rank's program order alone — both engines, every -j and
-// every worker replay it identically. Nil-safe: a nil Runtime returns t.
+// function of the rank's program order alone — every scheduler
+// interleaving, every -j and every worker replay it identically.
+// Nil-safe: a nil Runtime returns t.
 func (rt *Runtime) Perturb(rank int, now, t float64) float64 {
 	if rt == nil {
 		return t

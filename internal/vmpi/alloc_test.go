@@ -8,7 +8,7 @@ import (
 	"columbia/internal/par"
 )
 
-// The calendar engine's hot paths are pooled: message structs come from an
+// The engine's hot paths are pooled: message structs come from an
 // engine-local free list (released back on receive), mailbox queues reuse
 // their ring storage, and heap events live in a reused slice. These tests
 // pin the steady-state allocation budgets so a regression (a forgotten

@@ -24,9 +24,9 @@ type Event struct {
 }
 
 // less orders events by (At, Rank): earliest virtual time first, ties to
-// the lowest rank id — exactly the pick order of the goroutine engine's
-// linear scan, which is what makes the two engines replay identically.
-// With one event per rank, no two events of a Heap compare equal.
+// the lowest rank id — exactly the pick order of the engine's reference
+// scan over every rank, which vmpi's pick check holds the root to. With
+// one event per rank, no two events of a Heap compare equal.
 func less(a, b Event) bool {
 	return a.At < b.At || (a.At == b.At && a.Rank < b.Rank)
 }
@@ -199,7 +199,7 @@ func (q *Queue[T]) Pop() T {
 // a fresh one, Put pushes one back. The caller is responsible for
 // resetting the struct's fields (Put does not zero it, because callers
 // like the engine's message pool want to keep embedded slices' capacity).
-// FreeList is not safe for concurrent use; the engines are cooperatively
+// FreeList is not safe for concurrent use; the engine is cooperatively
 // scheduled so exactly one goroutine touches a pool at a time.
 //
 // Cold Gets are served from a chunked slab rather than individual new(T)

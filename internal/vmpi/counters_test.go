@@ -29,10 +29,11 @@ func counts(c *Counters) [5]int64 {
 }
 
 // TestCountersPinned pins the work counts of one fixed program, which only
-// a change to the engine or the collectives can move. Both engines make the
-// same picks, so they count the same; running the collectives' plans in
-// the ranks' coroutines does the same work with more parks; and a second
-// run under the same Counters adds exactly as much again.
+// a change to the engine or the collectives can move. The runs are made
+// under the pick check, which must report nothing and change no bit of
+// the result. Running the collectives' plans in the ranks' coroutines does
+// the same work with more parks, and a second run under the same Counters
+// adds exactly as much again.
 func TestCountersPinned(t *testing.T) {
 	cfg := Config{Cluster: machine.NewSingleNode(machine.Altix3700), Procs: 8}
 	//                  picks parks selfs sends handoffs
@@ -40,19 +41,24 @@ func TestCountersPinned(t *testing.T) {
 	coroutine := [5]int64{103, 91, 4, 88, 36}
 	for _, c := range []struct {
 		name string
-		eng  Engine
 		path collectivePath
 		want [5]int64
 	}{
-		{"calendar/driver", EngineCalendar, onDriver, driver},
-		{"goroutine/driver", EngineGoroutine, onDriver, driver},
-		{"calendar/coroutine", EngineCalendar, inCoroutine, coroutine},
+		{"driver", onDriver, driver},
+		{"coroutine", inCoroutine, coroutine},
 	} {
+		res, err := RunCtx(context.Background(), cfg, countedProgram(c.path))
+		unchecked := renderRun(res, err, nil)
 		var ctr Counters
-		ctx := WithCounters(WithEngine(context.Background(), c.eng), &ctr)
+		var bad []error
+		ctx := collectMismatches(WithCounters(context.Background(), &ctr), &bad)
 		for run := 1; run <= 2; run++ {
-			if _, err := RunCtx(ctx, cfg, countedProgram(c.path)); err != nil {
+			res, err := RunCtx(ctx, cfg, countedProgram(c.path))
+			if err != nil {
 				t.Fatal(err)
+			}
+			if got := renderRun(res, err, nil); got != unchecked {
+				t.Errorf("%s: checked run renders\n%s\nwant the unchecked\n%s", c.name, got, unchecked)
 			}
 			want := c.want
 			for i := range want {
@@ -62,6 +68,7 @@ func TestCountersPinned(t *testing.T) {
 				t.Errorf("%s, after %d runs: picks, parks, selfs, sends, handoffs = %v, want %v", c.name, run, got, want)
 			}
 		}
+		requireAgreement(t, c.name, bad)
 	}
 }
 

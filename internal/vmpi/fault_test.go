@@ -54,17 +54,6 @@ func TestFaultConfigValidation(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineIsConfigError: an engine selector RunCtx does not know
-// fails the run as a structured config error before any rank starts.
-func TestUnknownEngineIsConfigError(t *testing.T) {
-	cfg := Config{Cluster: machine.NewSingleNode(machine.Altix3700), Procs: 2}
-	_, err := RunCtx(WithEngine(context.Background(), "bogus"), cfg, func(par.Comm) {})
-	var re *RunError
-	if !errors.As(err, &re) || re.Kind != ErrConfig || !strings.Contains(re.Error(), `unknown engine "bogus"`) {
-		t.Errorf("RunCtx under engine %q = %v, want an ErrConfig naming the engine", "bogus", err)
-	}
-}
-
 // TestFaultDeadlockEnumeratesBlockedRanks pins the structured deadlock
 // detector: kind, per-rank blocked detail, and rank order.
 func TestFaultDeadlockEnumeratesBlockedRanks(t *testing.T) {
@@ -186,15 +175,15 @@ func TestFaultCancellationStopsRun(t *testing.T) {
 // TestFaultShutdownLeavesNoGoroutines: however a run ends — cleanly, in a
 // deadlock, a rank panic, a sanitizer or link-down failure, a canceled
 // context or a blown deadline — no rank coroutine outlives the scratch
-// that owns it, under either engine. A clean run parks its ranks'
-// coroutines in the recycled scratch for the next run, so a repeat of the
-// same clean run adds none; a failed run drops its scratch and must halt
-// every coroutine in it first (stop), including ranks parked mid-program.
-// One that skips that leaks them silently, because a parked coroutine never
-// touches the engine again, so neither the results nor the race detector
-// can tell. Only the goroutine count does.
+// that owns it, and every pick passes the pick check. A clean run parks
+// its ranks' coroutines in the recycled scratch for the next run, so a
+// repeat of the same clean run adds none; a failed run drops its scratch
+// and must halt every coroutine in it first (stop), including ranks parked
+// mid-program. One that skips that leaks them silently, because a parked
+// coroutine never touches the engine again, so neither the results nor the
+// race detector can tell. Only the goroutine count does.
 //
-// The subtests after the engine loop cover the other ways a scratch or a
+// The subtests after the case loop cover the other ways a scratch or a
 // rank record is dropped: recycle's trim to max(P, idleRanksMin), a full
 // scratch pool refusing a scratch, and an arena the GC finds unreachable.
 func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
@@ -236,40 +225,40 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 		{"canceled", Config{Cluster: single, Procs: 4}, -1, endless, ErrCanceled},
 		{"timeout", Config{Cluster: single, Procs: 4}, 5 * time.Millisecond, endless, ErrTimeout},
 	}
-	for _, eng := range []Engine{EngineCalendar, EngineGoroutine} {
-		for _, c := range cases {
-			t.Run(string(eng)+"/"+c.name, func(t *testing.T) {
-				run := func() error {
-					ctx, cancel := WithEngine(context.Background(), eng), func() {}
-					switch {
-					case c.timeout > 0:
-						ctx, cancel = context.WithTimeout(ctx, c.timeout)
-					case c.timeout < 0:
-						ctx, cancel = context.WithCancel(ctx)
-						cancel()
-					}
-					defer cancel()
-					_, err := RunCtx(ctx, c.cfg, c.fn)
-					return err
-				}
-				if c.want == clean {
-					// The first run may build coroutines the pool then keeps.
-					if err := run(); err != nil {
-						t.Fatalf("warm-up run failed: %v", err)
-					}
-				}
-				before := runtime.NumGoroutine()
-				err := run()
-				var re *RunError
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var bad []error
+			run := func() error {
+				ctx, cancel := collectMismatches(context.Background(), &bad), func() {}
 				switch {
-				case c.want == clean && err != nil:
-					t.Fatalf("run failed: %v", err)
-				case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
-					t.Fatalf("err = %v, want a %s RunError", err, c.want)
+				case c.timeout > 0:
+					ctx, cancel = context.WithTimeout(ctx, c.timeout)
+				case c.timeout < 0:
+					ctx, cancel = context.WithCancel(ctx)
+					cancel()
 				}
-				awaitGoroutines(t, c.name, before)
-			})
-		}
+				defer cancel()
+				_, err := RunCtx(ctx, c.cfg, c.fn)
+				return err
+			}
+			if c.want == clean {
+				// The first run may build coroutines the pool then keeps.
+				if err := run(); err != nil {
+					t.Fatalf("warm-up run failed: %v", err)
+				}
+			}
+			before := runtime.NumGoroutine()
+			err := run()
+			var re *RunError
+			switch {
+			case c.want == clean && err != nil:
+				t.Fatalf("run failed: %v", err)
+			case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
+				t.Fatalf("err = %v, want a %s RunError", err, c.want)
+			}
+			awaitGoroutines(t, c.name, before)
+			requireAgreement(t, c.name, bad)
+		})
 	}
 
 	barrier := func(c par.Comm) { c.Barrier() }
@@ -278,7 +267,7 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 		// scratch's coroutines before leaving it to the GC. The count
 		// alone could be masked by an unrelated arena's finalizer halting
 		// coroutines meanwhile, so the scratch is checked directly too.
-		e, err := newEngine(Config{Cluster: single, Procs: 4}, EngineCalendar, nil)
+		e, err := newEngine(Config{Cluster: single, Procs: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,6 @@ package vmpi
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"columbia/internal/machine"
@@ -21,8 +19,7 @@ const fuzzOps = 64
 // byte counts are rank- and argument-dependent, so the generated traffic
 // exercises eager directed completion, deferred wildcard matching, FIFO
 // mailbox order, mismatched tags (deadlocks) and unmatched sends
-// (sanitizer findings). The interpreter never panics: panic stacks embed
-// goroutine ids, which are not comparable across runs.
+// (sanitizer findings).
 func fuzzProgram(ops []byte) func(par.Comm) {
 	return func(c par.Comm) {
 		rank, size := c.Rank(), c.Size()
@@ -55,11 +52,10 @@ func fuzzProgram(ops []byte) func(par.Comm) {
 	}
 }
 
-// runFuzzProgram runs one interpreted program under the given engine and
-// renders the outcome to a canonical string: the error text on failure, or
-// the bit-exact per-rank statistics on success (hex float bits, so even a
-// one-ULP timing divergence between engines is caught).
-func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
+// runFuzzProgram runs one interpreted program under the pick check and
+// returns the mismatches it reported. How the run ends does not matter:
+// deadlocks and sanitizer failures are picks too.
+func runFuzzProgram(program []byte, sanitize bool) []error {
 	procs := 2 + int(program[0])%6
 	ops := program[1:]
 	if len(ops) > 2*fuzzOps {
@@ -70,32 +66,21 @@ func runFuzzProgram(program []byte, eng Engine, sanitize bool) string {
 		Procs:    procs,
 		Sanitize: sanitize,
 	}
-	res, err := RunCtx(WithEngine(context.Background(), eng), cfg, fuzzProgram(ops))
-	if err != nil {
-		return "error: " + err.Error()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "time=%016x", math.Float64bits(res.Time))
-	for i, s := range res.Stats {
-		fmt.Fprintf(&b, "\nrank %d: compute=%016x comm=%016x finish=%016x",
-			i, math.Float64bits(s.Compute), math.Float64bits(s.Comm), math.Float64bits(s.Finish))
-	}
-	return b.String()
+	var bad []error
+	RunCtx(collectMismatches(context.Background(), &bad), cfg, fuzzProgram(ops))
+	return bad
 }
 
-// FuzzEngineEquivalence generates random small rank programs and requires
-// the calendar and goroutine engines to agree bit-for-bit on the outcome —
-// per-rank statistics on success, the full error text (deadlock
-// enumerations, wait-for chains, sanitizer violations) on failure — both
-// plain and under the communication sanitizer. The engines share the rank
-// handoff, message delivery and mailboxes, and differ only in the pick, so
-// this checks every scheduling decision the calendar heap makes (the
-// running rank's in-place re-key, the removals when a rank blocks or
-// exits, the wildcard wake's decrease-key, the events set in send and
-// barrier) against the goroutine engine's O(P) scan of every rank. The
-// seeded corpus under testdata/fuzz covers every op the interpreter knows,
-// so a plain `go test` run replays the interesting shapes without
-// requiring -fuzz.
+// FuzzEngineEquivalence generates random small rank programs and runs each
+// once under the pick check, plain and under the communication sanitizer:
+// every pick the calendar makes must be the rank, at the time, that the
+// O(P) scan of every rank defines. This checks every scheduling decision
+// the calendar heap makes (the running rank's in-place re-key, the
+// removals when a rank blocks or exits, the wildcard wake's decrease-key,
+// the events set in send and barrier), up to the pick that ends a run in a
+// deadlock. The seeded corpus under testdata/fuzz covers every op the
+// interpreter knows, so a plain `go test` run replays the interesting
+// shapes without requiring -fuzz.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0})                                  // trivial: ranks finish immediately
 	f.Add([]byte{2, 0, 5, 1, 9, 3, 3})                // compute drift + aligned barriers
@@ -115,12 +100,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		for _, sanitize := range []bool{false, true} {
-			cal := runFuzzProgram(program, EngineCalendar, sanitize)
-			gor := runFuzzProgram(program, EngineGoroutine, sanitize)
-			if cal != gor {
-				t.Fatalf("engines disagree (sanitize=%v) on program %v\n--- calendar ---\n%s\n--- goroutine ---\n%s",
-					sanitize, program, cal, gor)
-			}
+			requireAgreement(t, fmt.Sprintf("program %v (sanitize=%v)", program, sanitize), runFuzzProgram(program, sanitize))
 		}
 	})
 }

@@ -34,8 +34,8 @@ var (
 )
 
 // renderRun renders a run's outcome bit-exactly: the error text on
-// failure, else the result's floats as hex bits, as runFuzzProgram does,
-// followed by every rank's Allreduce outputs.
+// failure, else the result's floats as hex bits, followed by every rank's
+// Allreduce outputs.
 func renderRun(res Result, err error, outs [][]float64) string {
 	if err != nil {
 		return "error: " + err.Error()
@@ -57,10 +57,11 @@ func renderRun(res Result, err error, outs [][]float64) string {
 
 // TestPlanDriverMatchesCoroutine: each plan collective gives bit-identical
 // results whether the engine's driver loop runs its steps or the rank's
-// coroutine runs them through Send and Recv, under both engines, at job
-// sizes with and without a non-power-of-two remainder. A rank-dependent
-// drift before each collective staggers the ranks' entries, so receives
-// find their messages early, late and in between.
+// coroutine runs them through Send and Recv, at job sizes with and without
+// a non-power-of-two remainder, and every pick on either path passes the
+// pick check. A rank-dependent drift before each collective staggers the
+// ranks' entries, so receives find their messages early, late and in
+// between.
 func TestPlanDriverMatchesCoroutine(t *testing.T) {
 	collectives := []struct {
 		name string
@@ -85,9 +86,10 @@ func TestPlanDriverMatchesCoroutine(t *testing.T) {
 				if procs < 4 {
 					cfg.Nodes = 0
 				}
-				run := func(eng Engine, path collectivePath) string {
+				var bad []error
+				run := func(path collectivePath) string {
 					outs := make([][]float64, procs)
-					res, err := RunCtx(WithEngine(context.Background(), eng), cfg, func(c par.Comm) {
+					res, err := RunCtx(collectMismatches(context.Background(), &bad), cfg, func(c par.Comm) {
 						clock := c.(Clock)
 						pc := path(c)
 						for round := 0; round < 3; round++ {
@@ -99,21 +101,11 @@ func TestPlanDriverMatchesCoroutine(t *testing.T) {
 					})
 					return renderRun(res, err, outs)
 				}
-				want := run(EngineCalendar, inCoroutine)
-				for _, v := range []struct {
-					eng  Engine
-					path collectivePath
-					name string
-				}{
-					{EngineCalendar, onDriver, "calendar/driver"},
-					{EngineGoroutine, onDriver, "goroutine/driver"},
-					{EngineGoroutine, inCoroutine, "goroutine/coroutine"},
-				} {
-					if got := run(v.eng, v.path); got != want {
-						t.Fatalf("%s disagrees with calendar/coroutine\n--- %s ---\n%s\n--- calendar/coroutine ---\n%s",
-							v.name, v.name, got, want)
-					}
+				want := run(inCoroutine)
+				if got := run(onDriver); got != want {
+					t.Fatalf("driver disagrees with coroutine\n--- driver ---\n%s\n--- coroutine ---\n%s", got, want)
 				}
+				requireAgreement(t, "both paths", bad)
 			})
 		}
 	}
@@ -150,9 +142,10 @@ func collectiveProgram(ops []byte, path collectivePath, outs [][]float64) func(p
 	}
 }
 
-// runCollectiveProgram runs one interpreted program and renders its outcome
-// with renderRun.
-func runCollectiveProgram(program []byte, eng Engine, path collectivePath, sanitize bool) string {
+// runCollectiveProgram runs one interpreted program under the pick check,
+// which appends its reports to *bad, and renders its outcome with
+// renderRun.
+func runCollectiveProgram(program []byte, path collectivePath, sanitize bool, bad *[]error) string {
 	procs := 1 + int(program[0])%12
 	ops := program[1:]
 	if len(ops) > 2*fuzzOps {
@@ -160,16 +153,16 @@ func runCollectiveProgram(program []byte, eng Engine, path collectivePath, sanit
 	}
 	cfg := Config{Cluster: machine.NewSingleNode(machine.Altix3700), Procs: procs, Sanitize: sanitize}
 	outs := make([][]float64, procs)
-	res, err := RunCtx(WithEngine(context.Background(), eng), cfg, collectiveProgram(ops, path, outs))
+	res, err := RunCtx(collectMismatches(context.Background(), bad), cfg, collectiveProgram(ops, path, outs))
 	return renderRun(res, err, outs)
 }
 
 // FuzzCollectiveEquivalence generates programs that interleave the plan
 // collectives with drift and a point-to-point ring, and requires the
 // driver-run plans to agree bit for bit with the same plans run through
-// Send and Recv in the ranks' coroutines, under both engines, plain and
-// sanitized. The seeded corpus under testdata/fuzz replays in a plain
-// `go test` run.
+// Send and Recv in the ranks' coroutines, plain and sanitized, with every
+// pick on both paths passing the pick check. The seeded corpus under
+// testdata/fuzz replays in a plain `go test` run.
 func FuzzCollectiveEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 3})                            // one rank: every plan is empty
 	f.Add([]byte{4, 0, 3, 1, 7, 0, 9, 2, 5})          // 5 ranks: drift, allreduce, drift, alltoall
@@ -180,13 +173,13 @@ func FuzzCollectiveEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		for _, sanitize := range []bool{false, true} {
-			want := runCollectiveProgram(program, EngineCalendar, inCoroutine, sanitize)
-			for _, eng := range []Engine{EngineCalendar, EngineGoroutine} {
-				if got := runCollectiveProgram(program, eng, onDriver, sanitize); got != want {
-					t.Fatalf("%s driver disagrees with calendar coroutine (sanitize=%v) on program %v\n--- driver ---\n%s\n--- coroutine ---\n%s",
-						eng, sanitize, program, got, want)
-				}
+			var bad []error
+			want := runCollectiveProgram(program, inCoroutine, sanitize, &bad)
+			if got := runCollectiveProgram(program, onDriver, sanitize, &bad); got != want {
+				t.Fatalf("driver disagrees with coroutine (sanitize=%v) on program %v\n--- driver ---\n%s\n--- coroutine ---\n%s",
+					sanitize, program, got, want)
 			}
+			requireAgreement(t, fmt.Sprintf("program %v (sanitize=%v)", program, sanitize), bad)
 		}
 	})
 }

@@ -251,8 +251,7 @@ func (x *mailIndex) growBoxes() {
 // slab. Ownership of the copy transfers to the receiving program exactly as
 // with a standalone allocation — the region is capped at its length, so a
 // receiver that appends reallocates instead of clobbering a neighbour.
-// Returns nil for an empty payload, matching append's behaviour, which
-// differential tests observe.
+// Returns nil for an empty payload, matching append's behaviour.
 func (s *engineScratch) copyPayload(data []float64) []float64 {
 	if len(data) == 0 {
 		return nil

@@ -28,14 +28,14 @@
 // penalty, and inflated by the boot-cpuset factor when a run occupies every
 // CPU of a box.
 //
-// # Execution engines
+// # Execution engine
 //
-// Every run passes control between its ranks the same way, without the Go
-// scheduler: each rank is an iter.Pull coroutine, pooled with its rank
-// record, and run's driver loop wakes the rank picked last. The rank that
-// yields makes the pick itself (next), records it and parks back to the
-// driver — two coroutine switches per rank change, none when the yielder
-// is picked again.
+// A run passes control between its ranks without the Go scheduler: each
+// rank is an iter.Pull coroutine, pooled with its rank record, and run's
+// driver loop wakes the rank picked last. The rank that yields makes the
+// pick itself (next), records it and parks back to the driver — two
+// coroutine switches per rank change, none when the yielder is picked
+// again.
 //
 // Collectives that par defines as plans (Allreduce, AllreduceBytes,
 // AlltoallBytes; see par.PlanRunner) cost a rank at most one park each,
@@ -48,31 +48,26 @@
 // through Send and Recv; on the paper sweep the rank switches fall from
 // 3,429,419 to 1,208,596 for the same 3,606,564 picks (Counters).
 //
-// Two engines differ only in how next makes the pick, and are guaranteed —
-// by the differential suite in internal/core and the FuzzEngineEquivalence
-// fuzz target — to pick identically. RunCtx uses the calendar engine unless
-// its context selects the other with WithEngine:
+// next picks by reading the root of a pooled event calendar: an indexed
+// O(log P) min-heap holding at most one (time, rank) wake event per rank.
+// The running rank keeps its event, and yieldReady re-keys it in place;
+// blocking in recv or barrier, and exiting, remove it; send, recv and
+// barrier set the events of the ranks they make schedulable. The rank it
+// must pick is defined by an O(P) scan of every rank (pickReady): the
+// smallest clock, ties to the lowest id. The scan is kept as the reference
+// that WithPickCheck compares every pick against; the differential suite
+// in internal/core and the FuzzEngineEquivalence fuzz target run under it.
 //
-//   - EngineCalendar (the default) reads the root of a pooled event
-//     calendar: an indexed O(log P) min-heap holding at most one
-//     (time, rank) wake event per rank. The running rank keeps its event,
-//     and yieldReady re-keys it in place; blocking in recv or barrier, and
-//     exiting, remove it; send, recv and barrier set the events of the
-//     ranks they make schedulable.
-//   - EngineGoroutine scans every rank for the smallest clock (pickReady,
-//     O(P) per pick). It is kept as the executable specification the
-//     calendar's scheduling decisions are differentially tested against.
-//
-// Both engines deliver messages the same way. A send to a rank blocked in
-// a directed receive on exactly that (source, tag) hands the message
-// straight over. Every other message waits in its (destination, source,
-// tag) queue behind one open-addressed index in the run's scratch
-// (mailIndex). A queue leaves the index as soon as it drains, and the next
-// run starts from an empty index, so the index holds only keys with
-// undelivered messages, and a lookup never probes another run's keys.
+// A send to a rank blocked in a directed receive on exactly that (source,
+// tag) hands the message straight over. Every other message waits in its
+// (destination, source, tag) queue behind one open-addressed index in the
+// run's scratch (mailIndex). A queue leaves the index as soon as it
+// drains, and the next run starts from an empty index, so the index holds
+// only keys with undelivered messages, and a lookup never probes another
+// run's keys.
 //
 // The coroutines need a go1.23 toolchain, although go.mod says go 1.22;
-// see coro.go. See DESIGN.md §8 for the equivalence contract.
+// see coro.go. See DESIGN.md §8 for the pick check.
 package vmpi
 
 import (
@@ -99,42 +94,19 @@ const AnySource = -1
 // sender as initiation overhead. [calibrated]
 const sendOverheadFrac = 0.35
 
-// Engine selects how a simulation picks the next rank to run. The engines
-// share everything else — the pooled rank coroutines, the driver loop that
-// wakes them, the timing model — and differ only in that pick, so they
-// produce byte-identical results. See the package comment.
-type Engine string
+type pickCheckCtxKey struct{}
 
-const (
-	// EngineCalendar picks by popping a heap of wake events ordered by
-	// (time, rank). The default.
-	EngineCalendar Engine = "calendar"
-	// EngineGoroutine picks by scanning every rank for the smallest clock,
-	// ties to the lowest id. It is kept as the executable specification
-	// of the calendar's picks for differential testing; the name survives
-	// from when its ranks ran as goroutines under a central scheduler
-	// goroutine of its own.
-	EngineGoroutine Engine = "goroutine"
-)
-
-type engineCtxKey struct{}
-
-// WithEngine returns a context under which RunCtx simulates on engine e
-// instead of the default EngineCalendar. The engine is deliberately not
-// part of Config: the engines are result-equivalent, so a fingerprint
-// names only what is simulated, and the differential tests select the
-// reference engine per run without touching any cache key.
-func WithEngine(ctx context.Context, e Engine) context.Context {
-	return context.WithValue(ctx, engineCtxKey{}, e)
-}
-
-// engineFrom resolves the engine installed by WithEngine; none (or an
-// empty one) means EngineCalendar.
-func engineFrom(ctx context.Context) Engine {
-	if e, _ := ctx.Value(engineCtxKey{}).(Engine); e != "" {
-		return e
+// WithPickCheck returns a context under which every RunCtx checks each
+// pick of its calendar against the reference scan (pickReady) and calls
+// report with an error for every pick where the two disagree. The run
+// goes on with the calendar's pick, so checking never changes a result,
+// and the check is not part of Config or its fingerprint. Runs under one
+// context may call report concurrently. A nil report checks nothing.
+func WithPickCheck(ctx context.Context, report func(error)) context.Context {
+	if report == nil {
+		return ctx
 	}
-	return EngineCalendar
+	return context.WithValue(ctx, pickCheckCtxKey{}, report)
 }
 
 // Config describes one simulated job.
@@ -274,9 +246,9 @@ type rankState struct {
 	// Pending receive when blocked.
 	wantSrc, wantTag int
 	recvResult       *message
-	// anyWake is calendar-engine bookkeeping: the earliest candidate
-	// arrival of a pending wildcard receive, cached so that a new
-	// queue-head message lowers the wake event in O(log P).
+	// anyWake is the earliest candidate arrival of a pending wildcard
+	// receive, cached so that a new queue-head message lowers the rank's
+	// wake event in O(log P).
 	anyWake float64
 }
 
@@ -323,14 +295,13 @@ type engine struct {
 	// pool, calendar storage, occupancy clocks) this run drew from the
 	// shared scratch pool; RunCtx recycles it after a clean completion.
 	scr *engineScratch
-	// Scheduling state. cal selects the calendar engine, whose heap orders
-	// one wake event per schedulable rank by (time, rank); ctx is the run's
-	// context, checked at every pick; fn is the rank program; active counts
+	// Scheduling state. heap is the calendar, which orders one wake event
+	// per schedulable rank by (time, rank); ctx is the run's context,
+	// checked at every pick; fn is the rank program; active counts
 	// unfinished ranks; picked is the rank the driver loop wakes next,
 	// recorded by the rank that parked last (nil: the run is over). Exactly
 	// one of the driver and the rank coroutines runs at a time, and
 	// coroutine switches order every access.
-	cal    bool
 	ctx    context.Context
 	fn     func(par.Comm)
 	heap   *calendar.Heap
@@ -343,6 +314,9 @@ type engine struct {
 	// id. It sits last, with work: placed after ranks, it moved the hot
 	// fields and slowed runs that never enter a plan by about 4%.
 	plans []planState
+	// check receives the pick check's reports (WithPickCheck); nil checks
+	// nothing. Last too, for the same reason as plans.
+	check func(error)
 }
 
 // stopToken unwinds a rank parked mid-program when stop halts its
@@ -374,14 +348,15 @@ func TryRun(cfg Config, fn func(par.Comm)) (Result, error) {
 // operation is one), unwinds every rank cleanly, and returns an
 // ErrCanceled or ErrTimeout RunError. Rank programs that loop without
 // ever touching their Comm cannot be preempted; none of the workloads in
-// this repository do that. The context also carries the run's engine
-// (WithEngine), scratch arena (WithArena) and work counters
-// (WithCounters).
+// this repository do that. The context also carries the run's scratch
+// arena (WithArena), work counters (WithCounters) and pick check
+// (WithPickCheck).
 func RunCtx(ctx context.Context, cfg Config, fn func(par.Comm)) (Result, error) {
-	e, err := newEngine(cfg, engineFrom(ctx), arenaFrom(ctx))
+	e, err := newEngine(cfg, arenaFrom(ctx))
 	if err != nil {
 		return Result{}, err
 	}
+	e.check, _ = ctx.Value(pickCheckCtxKey{}).(func(error))
 	res, err := e.run(ctx, fn)
 	countersFrom(ctx).add(&e.work)
 	if err != nil {
@@ -433,13 +408,13 @@ func (e *engine) panicked(r *rankState, p any) {
 }
 
 // run is the driver loop of a simulation: it seeds the calendar with every
-// rank's start event (calendar engine only), then wakes the picked rank's
-// coroutine until no pick is left. A picked rank parked inside a collective
-// plan is not woken: the loop runs the plan's steps itself (drive) and
-// wakes the coroutine once, when the plan ends. The first pick is made
-// here; every later one by the rank or plan step that gives up control
-// (yield, runSteps, rankExit). A failed run returns with ranks still parked
-// mid-program, for RunCtx to stop.
+// rank's start event, then wakes the picked rank's coroutine until no pick
+// is left. A picked rank parked inside a collective plan is not woken: the
+// loop runs the plan's steps itself (drive) and wakes the coroutine once,
+// when the plan ends. The first pick is made here; every later one by the
+// rank or plan step that gives up control (yield, runSteps, rankExit). A
+// failed run returns with ranks still parked mid-program, for RunCtx to
+// stop.
 func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	e.ctx = ctx
 	e.fn = fn
@@ -468,13 +443,12 @@ func (e *engine) run(ctx context.Context, fn func(par.Comm)) (Result, error) {
 	return e.result(), nil
 }
 
-// next picks the rank to run next — by popping the calendar, or by the
-// oracle's scan of every rank — and completes its pending wildcard receive
-// if it has one. It returns nil when the run is over: every rank finished,
-// or a failure is recorded in e.runErr. The first failure wins: a recorded
-// one, then a canceled context, then one raised by the pick itself (a
-// sanitizer violation in the wildcard match, or a deadlock when no live
-// rank can run).
+// next picks the rank to run next, the calendar's root, and completes its
+// pending wildcard receive if it has one. It returns nil when the run is
+// over: every rank finished, or a failure is recorded in e.runErr. The
+// first failure wins: a recorded one, then a canceled context, then one
+// raised by the pick itself (a sanitizer violation in the wildcard match,
+// or a deadlock when no live rank can run).
 func (e *engine) next() *rankState {
 	if e.active == 0 || e.runErr != nil {
 		return nil
@@ -487,12 +461,7 @@ func (e *engine) next() *rankState {
 		e.runErr = &RunError{Kind: kind, Rank: -1, Msg: cerr.Error(), Err: cerr}
 		return nil
 	}
-	var r *rankState
-	if e.cal {
-		r = e.calPick()
-	} else {
-		r = e.pickReady()
-	}
+	r := e.calPick()
 	switch {
 	case e.runErr != nil:
 		return nil
@@ -557,28 +526,26 @@ func (e *engine) stop() {
 	e.scr = nil
 }
 
-// schedule makes rank r pickable at virtual time at: under the calendar
-// engine it sets r's one event, inserting it or re-keying it in place. The
-// oracle scans every rank instead and keeps no events.
+// schedule makes rank r pickable at virtual time at: it sets r's one
+// calendar event, inserting it or re-keying it in place.
 func (e *engine) schedule(r *rankState, at float64) {
-	if e.cal {
-		e.heap.Set(int32(r.id), at)
-	}
+	e.heap.Set(int32(r.id), at)
 }
 
 // unschedule takes r's event out of the calendar when r blocks without a
 // wake time or exits.
 func (e *engine) unschedule(r *rankState) {
-	if e.cal {
-		e.heap.Remove(int32(r.id))
-	}
+	e.heap.Remove(int32(r.id))
 }
 
-// calPick is the calendar engine's pick: the rank at the heap's root, which
-// keeps its event while it runs. A rank picked in a wildcard receive
-// completes it exactly like pickReady does. nil means no rank is
-// schedulable.
+// calPick is the pick: the rank at the calendar's root, which keeps its
+// event while it runs. A rank picked in a wildcard receive completes it.
+// nil means no rank is schedulable. Under a pick check, the reference scan
+// runs first and any disagreement is reported; the calendar's pick stands.
 func (e *engine) calPick() *rankState {
+	if e.check != nil {
+		e.checkPick()
+	}
 	ev, ok := e.heap.Min()
 	if !ok {
 		return nil
@@ -590,18 +557,35 @@ func (e *engine) calPick() *rankState {
 	return r
 }
 
-func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
+// checkPick compares the calendar's root with the rank and time that the
+// reference scan picks, and hands a disagreement to the run's check,
+// naming the pick's index in the run, the run's fingerprint and each
+// side's rank and time.
+func (e *engine) checkPick() {
+	ev, ok := e.heap.Min()
+	r, at := e.pickReady()
+	//detlint:allow floatcmp the calendar's keys are the very clocks and arrivals the scan reads, so a right pick agrees exactly
+	if ok == (r != nil) && (!ok || int(ev.Rank) == r.id && ev.At == at) {
+		return
+	}
+	cal, scan := "none", "none"
+	if ok {
+		cal = fmt.Sprintf("rank %d at %g", ev.Rank, ev.At)
+	}
+	if r != nil {
+		scan = fmt.Sprintf("rank %d at %g", r.id, at)
+	}
+	e.check(fmt.Errorf("pick %d of %s: calendar %s, scan %s", e.work.picks+1, e.cfg.Fingerprint(), cal, scan))
+}
+
+// newEngine validates cfg and readies a run of it on scratch drawn from
+// arena (nil: the process-wide pool). A config error returns a nil engine.
+func newEngine(cfg Config, arena *Arena) (e *engine, err error) {
 	if cfg.Cluster == nil {
 		return nil, configErr("Config.Cluster is required")
 	}
 	if cfg.Procs < 1 {
 		return nil, configErr("Config.Procs must be positive, got %d", cfg.Procs)
-	}
-	switch eng {
-	case EngineCalendar, EngineGoroutine:
-	default:
-		return nil, configErr("unknown engine %q (want %q or %q)",
-			eng, EngineCalendar, EngineGoroutine)
 	}
 	// The placement constructors in package machine report impossible
 	// geometries (too few CPUs, invalid node counts, duplicated slots) by
@@ -620,7 +604,6 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 		net:        net,
 		place:      cfg.placement(),
 		threads:    cfg.threads(),
-		cal:        eng == EngineCalendar,
 		computeFac: cfg.ComputeFactor,
 		faults:     cfg.Faults,
 	}
@@ -644,9 +627,8 @@ func newEngine(cfg Config, eng Engine, arena *Arena) (e *engine, err error) {
 	}
 	// Bind the noise spec to this run: one derived rng stream per rank
 	// (keyed by spec seed, fault-plan seed, replica, rank) plus the daemon
-	// eligibility mask from each rank's per-node CPU index. Both engines
-	// share computeTime, so a nil runtime here is the only engine-visible
-	// difference between silence and noise.
+	// eligibility mask from each rank's per-node CPU index. A nil runtime
+	// here is the only engine-visible difference between silence and noise.
 	if cfg.Noise.Perturbs() {
 		e.noise = noise.NewRuntime(cfg.Noise, cfg.Faults.Seed(), cfg.Procs,
 			func(rank int) int { return e.slot(rank, 0).CPU })
@@ -690,15 +672,17 @@ func (e *engine) slot(r, t int) machine.Loc {
 	return e.place.Loc(r*e.threads + t)
 }
 
-// pickReady selects the next rank to resume: the smallest virtual clock,
-// ties to the lowest id. A rank blocked in a wildcard receive competes too,
-// at the time the receive would complete (the earliest candidate arrival):
-// deferring the match to the moment that wake time is globally minimal
-// guarantees every send that could arrive by then has already been issued,
-// so the chosen sender is the (arrival, source) minimum over the whole
-// program — a property of the message timeline, never of the order the
-// engine happened to execute the sends in.
-func (e *engine) pickReady() *rankState {
+// pickReady is the reference scan the calendar's picks are checked against
+// (WithPickCheck): it returns the rank with the smallest virtual clock,
+// ties to the lowest id, and the time it competes at, or nil when no rank
+// is schedulable. It changes nothing. A rank blocked in a wildcard receive
+// competes too, at the time the receive would complete (the earliest
+// candidate arrival): deferring the match to the moment that wake time is
+// globally minimal guarantees every send that could arrive by then has
+// already been issued, so the chosen sender is the (arrival, source)
+// minimum over the whole program — a property of the message timeline,
+// never of the order the engine happened to execute the sends in.
+func (e *engine) pickReady() (*rankState, float64) {
 	var best *rankState
 	var bestAt float64
 	for _, r := range e.ranks {
@@ -724,10 +708,7 @@ func (e *engine) pickReady() *rankState {
 			best, bestAt = r, at
 		}
 	}
-	if best != nil && best.status == stBlockedRecv {
-		e.completeRecv(best)
-	}
-	return best
+	return best, bestAt
 }
 
 // earliestAny returns the earliest arrival among queued messages that could
@@ -1002,7 +983,7 @@ func (e *engine) send(r *rankState, dst, tag int, bytes float64, data []float64)
 	// Wildcard receives stay parked until the pick proves their earliest
 	// candidate is globally minimal (see pickReady), which keeps the match
 	// independent of send order.
-	if e.cal && d.status == stBlockedRecv && d.wantSrc == AnySource && d.wantTag == tag &&
+	if d.status == stBlockedRecv && d.wantSrc == AnySource && d.wantTag == tag &&
 		newHead && m.arrival < d.anyWake {
 		// A new queue head lowered the wildcard's earliest candidate:
 		// decrease its wake event's key. The cached minimum only ever
@@ -1086,21 +1067,19 @@ func (e *engine) recv(r *rankState, src, tag int) *message {
 		// arrive earlier, and only the pick can prove none will.
 		r.wantSrc, r.wantTag = src, tag
 		r.status = stBlockedRecv
-		if e.cal {
-			// Re-key the wake event to the earliest candidate arrival (if
-			// any): the calendar analogue of competing in pickReady at
-			// max(now, earliestAny). Later sends lower it via anyWake.
-			r.anyWake = math.Inf(1)
-			if arr, ok := e.earliestAny(r); ok {
-				r.anyWake = arr
-				at := arr
-				if r.now > at {
-					at = r.now
-				}
-				e.schedule(r, at)
-			} else {
-				e.unschedule(r)
+		// Re-key the wake event to the earliest candidate arrival (if any),
+		// the time pickReady has the rank compete at: max(now,
+		// earliestAny). Later sends lower it via anyWake.
+		r.anyWake = math.Inf(1)
+		if arr, ok := e.earliestAny(r); ok {
+			r.anyWake = arr
+			at := arr
+			if r.now > at {
+				at = r.now
 			}
+			e.schedule(r, at)
+		} else {
+			e.unschedule(r)
 		}
 		e.yield(r)
 		m := r.recvResult
@@ -1268,8 +1247,8 @@ func (e *engine) computeTime(r *rankState, w machine.Work) float64 {
 	}
 	// Stochastic noise perturbs last, on top of every deterministic
 	// factor: the rank's jitter stream advances exactly once per compute
-	// event (per-rank program order, so both engines and every scheduler
-	// interleaving replay identical draws), and the daemon window is a
+	// event (per-rank program order, so every scheduler interleaving
+	// replays identical draws), and the daemon window is a
 	// square wave of the rank's own virtual clock. Elapse is exempt —
 	// fixed costs model I/O and setup, not CPU time a daemon could steal.
 	return e.noise.Perturb(r.id, r.now, t*jf)

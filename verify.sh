@@ -22,7 +22,9 @@ go build ./...
 # over every package of the module, here and in the -race pass below. They
 # also run every rank program under the communication sanitizer
 # (DESIGN.md §7): each experiment sanitized and byte-compared with the
-# plain run, b_eff's own tests, and each MPI kernel test's vmpi leg.
+# plain run, b_eff's own tests, and each MPI kernel test's vmpi leg. And
+# they check every pick the vmpi calendar makes in the paper sweep, plain,
+# sanitized, faulted and noisy, against the reference scan (DESIGN.md §8).
 echo "== go test =="
 go test -timeout 15m ./...
 
@@ -51,6 +53,14 @@ go test -timeout 10m -run Fault -count=5 \
 echo "== go test -run Noise -count=5 (noise flake gate) =="
 go test -timeout 10m -run Noise -count=5 \
 	./internal/noise/ ./internal/vmpi/ ./internal/core/ ./cmd/columbia/
+
+# A short fuzz of the engine's pick check: each generated rank program runs
+# once under it (FuzzEngineEquivalence), or with its collectives on both
+# paths (FuzzCollectiveEquivalence). A failing input is saved under
+# internal/vmpi/testdata/fuzz and fails here.
+echo "== fuzz smoke (10 s per target) =="
+go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 10s ./internal/vmpi/
+go test -run '^$' -fuzz '^FuzzCollectiveEquivalence$' -fuzztime 10s ./internal/vmpi/
 
 # The runnable examples: go build only compiles them. Run each (under a
 # second in all) so one that panics or exits non-zero fails here.
