@@ -36,6 +36,15 @@ func diffNoiseSpec() *noise.Spec {
 	return s
 }
 
+// renderings carries each experiment's plain and sanitized CSV
+// ("<ID>/plain", "<ID>/commsan") from TestEngineDifferential, which
+// renders them under the pick check, to
+// TestSanitizedExperimentsByteIdentical, which compares them instead of
+// sweeping both configurations again. A rendering is taken once, so each
+// -count repetition renders afresh, and a run without the differential
+// renders its own.
+var renderings sync.Map
+
 // checkPicks replaces the default sweep pool with a fresh one, whose cold
 // cache makes every point run, and whose runs check each calendar pick
 // against the reference scan (vmpi.WithPickCheck). Under the race
@@ -72,25 +81,30 @@ func checkPicks(t *testing.T) func(t *testing.T) {
 // TestEngineDifferential holds the vmpi engine to its reference
 // (DESIGN.md §8): every sweep point of every registered experiment runs
 // once under the pick check, and every pick the calendar makes must be
-// the rank, at the time, that the O(P) scan of every rank defines — under
-// a degrading fault plan, and under seeded performance noise, alone and
-// stacked on the fault plan, whose seed decorrelates the jitter streams.
-// The plain and sanitized sweeps run under the check in
-// TestSanitizedExperimentsByteIdentical. Each distinct point of a mode
-// runs once, and a mismatch names the pick and the run's fingerprint.
+// the rank, at the time, that the O(P) scan of every rank defines —
+// plain, under a degrading fault plan, under the communication
+// sanitizer, and under seeded performance noise, alone and stacked on the
+// fault plan, whose seed decorrelates the jitter streams. Each distinct
+// point of a mode runs once, and a mismatch names the pick and the run's
+// fingerprint. The plain and commsan renderings go on to
+// TestSanitizedExperimentsByteIdentical (renderings).
 func TestEngineDifferential(t *testing.T) {
 	modes := []struct {
-		name   string
-		faults *fault.Plan
-		noise  *noise.Spec
+		name     string
+		faults   *fault.Plan
+		sanitize bool
+		noise    *noise.Spec
 	}{
-		{"faulted", diffFaultPlan(), nil},
-		{"noisy", nil, diffNoiseSpec()},
-		{"noisy-faulted", diffFaultPlan().WithSeed(7), diffNoiseSpec()},
+		{"plain", nil, false, nil},
+		{"faulted", diffFaultPlan(), false, nil},
+		{"commsan", nil, true, nil},
+		{"noisy", nil, false, diffNoiseSpec()},
+		{"noisy-faulted", diffFaultPlan().WithSeed(7), false, diffNoiseSpec()},
 	}
 	agree := checkPicks(t)
 	defer func() {
 		SetFaultPlan(nil)
+		SetSanitize(false)
 		SetNoise(nil)
 	}()
 	for _, e := range Experiments() {
@@ -102,9 +116,13 @@ func TestEngineDifferential(t *testing.T) {
 					t.Skip("heavy experiment in -short mode")
 				}
 				SetFaultPlan(m.faults)
+				SetSanitize(m.sanitize)
 				SetNoise(m.noise)
-				experimentCSV(e)
+				out := experimentCSV(e)
 				agree(t)
+				if m.faults == nil && m.noise == nil {
+					renderings.Store(e.ID+"/"+m.name, out)
+				}
 			})
 		}
 	}

@@ -175,15 +175,15 @@ func TestFaultCancellationStopsRun(t *testing.T) {
 // TestFaultShutdownLeavesNoGoroutines: however a run ends — cleanly, in a
 // deadlock, a rank panic, a sanitizer or link-down failure, a canceled
 // context or a blown deadline — no rank coroutine outlives the scratch
-// that owns it, and every pick passes the pick check. A clean run parks
-// its ranks' coroutines in the recycled scratch for the next run, so a
-// repeat of the same clean run adds none; a failed run drops its scratch
-// and must halt every coroutine in it first (stop), including ranks parked
+// that owns it, with or without the pick check. A clean run parks its
+// ranks' coroutines in the recycled scratch for the next run, so a repeat
+// of the same clean run adds none; a failed run drops its scratch and must
+// halt every coroutine in it first (stop), including ranks parked
 // mid-program. One that skips that leaks them silently, because a parked
 // coroutine never touches the engine again, so neither the results nor the
 // race detector can tell. Only the goroutine count does.
 //
-// The subtests after the case loop cover the other ways a scratch or a
+// The subtests after the mode loop cover the other ways a scratch or a
 // rank record is dropped: recycle's trim to max(P, idleRanksMin), a full
 // scratch pool refusing a scratch, and an arena the GC finds unreachable.
 func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
@@ -225,40 +225,52 @@ func TestFaultShutdownLeavesNoGoroutines(t *testing.T) {
 		{"canceled", Config{Cluster: single, Procs: 4}, -1, endless, ErrCanceled},
 		{"timeout", Config{Cluster: single, Procs: 4}, 5 * time.Millisecond, endless, ErrTimeout},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var bad []error
-			run := func() error {
-				ctx, cancel := collectMismatches(context.Background(), &bad), func() {}
+	// Each case runs twice: under "calendar" as production runs it, and
+	// under "goroutine" with the pick check, whose reference is the O(P)
+	// scan the goroutine engine once picked by. A checked run must also
+	// report no mismatch.
+	for _, mode := range []struct {
+		name    string
+		checked bool
+	}{{"calendar", false}, {"goroutine", true}} {
+		for _, c := range cases {
+			t.Run(mode.name+"/"+c.name, func(t *testing.T) {
+				var bad []error
+				run := func() error {
+					ctx, cancel := context.Background(), func() {}
+					if mode.checked {
+						ctx = collectMismatches(ctx, &bad)
+					}
+					switch {
+					case c.timeout > 0:
+						ctx, cancel = context.WithTimeout(ctx, c.timeout)
+					case c.timeout < 0:
+						ctx, cancel = context.WithCancel(ctx)
+						cancel()
+					}
+					defer cancel()
+					_, err := RunCtx(ctx, c.cfg, c.fn)
+					return err
+				}
+				if c.want == clean {
+					// The first run may build coroutines the pool then keeps.
+					if err := run(); err != nil {
+						t.Fatalf("warm-up run failed: %v", err)
+					}
+				}
+				before := runtime.NumGoroutine()
+				err := run()
+				var re *RunError
 				switch {
-				case c.timeout > 0:
-					ctx, cancel = context.WithTimeout(ctx, c.timeout)
-				case c.timeout < 0:
-					ctx, cancel = context.WithCancel(ctx)
-					cancel()
+				case c.want == clean && err != nil:
+					t.Fatalf("run failed: %v", err)
+				case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
+					t.Fatalf("err = %v, want a %s RunError", err, c.want)
 				}
-				defer cancel()
-				_, err := RunCtx(ctx, c.cfg, c.fn)
-				return err
-			}
-			if c.want == clean {
-				// The first run may build coroutines the pool then keeps.
-				if err := run(); err != nil {
-					t.Fatalf("warm-up run failed: %v", err)
-				}
-			}
-			before := runtime.NumGoroutine()
-			err := run()
-			var re *RunError
-			switch {
-			case c.want == clean && err != nil:
-				t.Fatalf("run failed: %v", err)
-			case c.want != clean && (!errors.As(err, &re) || re.Kind != c.want):
-				t.Fatalf("err = %v, want a %s RunError", err, c.want)
-			}
-			awaitGoroutines(t, c.name, before)
-			requireAgreement(t, c.name, bad)
-		})
+				awaitGoroutines(t, c.name, before)
+				requireAgreement(t, c.name, bad)
+			})
+		}
 	}
 
 	barrier := func(c par.Comm) { c.Barrier() }
